@@ -1,6 +1,7 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "mec/audit.hpp"
 #include "mec/resources.hpp"
@@ -104,7 +105,8 @@ IncrementalAllocator::IncrementalAllocator(const Scenario& scenario,
       state_(scenario),
       allocation_(scenario.num_ues()),
       active_(scenario.num_ues(), false),
-      clamped_(scenario.num_bss(), false) {}
+      clamped_(scenario.num_bss(), false),
+      cloud_bits_((scenario.num_ues() + 63) / 64, 0) {}
 
 std::optional<BsId> IncrementalAllocator::admit(UeId u) {
   DMRA_REQUIRE_MSG(!active_[u.idx()], "admit on an already-active slot");
@@ -117,6 +119,27 @@ std::optional<BsId> IncrementalAllocator::reattempt(UeId u) {
   DMRA_REQUIRE_MSG(active_[u.idx()], "reattempt on an inactive slot");
   DMRA_REQUIRE_MSG(allocation_.is_cloud(u), "reattempt on a served slot");
   return place(u);
+}
+
+std::size_t IncrementalAllocator::next_cloud_dweller(std::size_t from) const {
+  const std::size_t n = allocation_.num_ues();
+  if (from >= n) return n;
+  std::size_t w = from / 64;
+  // Bits past num_ues() are never set, so any hit is a real slot.
+  std::uint64_t bits = cloud_bits_[w] & (~std::uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++w == cloud_bits_.size()) return n;
+    bits = cloud_bits_[w];
+  }
+  return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
+void IncrementalAllocator::mark_cloud(UeId u, bool on) {
+  std::uint64_t& word = cloud_bits_[u.idx() / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (u.idx() % 64);
+  if (((word & bit) != 0) == on) return;
+  word ^= bit;
+  on ? ++num_cloud_ : --num_cloud_;
 }
 
 std::optional<BsId> IncrementalAllocator::place(UeId u) {
@@ -152,8 +175,10 @@ std::optional<BsId> IncrementalAllocator::place(UeId u) {
   if (!best) {
     // B_u exhausted (or empty): remote cloud, Alg. 1 line 10.
     allocation_.assign_cloud(u);
+    mark_cloud(u, true);
     return std::nullopt;
   }
+  mark_cloud(u, false);
   state_.commit(u, *best);
   allocation_.assign(u, *best);
   live_profit_ += scenario_->pair_profit(u, *best);
@@ -180,6 +205,7 @@ void IncrementalAllocator::remove(UeId u) {
   DMRA_REQUIRE_MSG(active_[u.idx()], "remove on an inactive slot");
   active_[u.idx()] = false;
   --num_active_;
+  mark_cloud(u, false);
   const auto bs = allocation_.bs_of(u);
   if (!bs) return;  // was cloud-forwarded; nothing held
   live_profit_ -= scenario_->pair_profit(u, *bs);
@@ -198,6 +224,7 @@ std::size_t IncrementalAllocator::crash_bs(BsId i, std::vector<UeId>& orphans) {
     if (!bs || *bs != i) continue;
     live_profit_ -= scenario_->pair_profit(u, i);
     allocation_.assign_cloud(u);
+    mark_cloud(u, true);
     orphans.push_back(u);
     ++evicted;
   }

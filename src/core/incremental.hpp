@@ -104,6 +104,15 @@ class IncrementalAllocator {
   bool active(UeId u) const { return active_[u.idx()]; }
   std::size_t num_active() const { return num_active_; }
 
+  /// The cloud-dweller index: the smallest slot >= `from` that is active
+  /// and cloud-forwarded, or num_ues() when there is none. Walking it
+  /// (`u = next_cloud_dweller(u + 1)`) visits every cloud dweller in
+  /// ascending slot order at O(dwellers + slots/64), which is how the
+  /// readmit sweep of sim/churn avoids scanning the whole slot universe.
+  std::size_t next_cloud_dweller(std::size_t from) const;
+  /// Active, cloud-forwarded slots (the index's population).
+  std::size_t num_cloud_dwellers() const { return num_cloud_; }
+
   /// Crash BS i: remaining capacity clamps to zero and every UE it serves
   /// is evicted to the cloud (still active — the caller re-admits them).
   /// Evicted UE ids are appended to `orphans` in ascending order.
@@ -140,6 +149,8 @@ class IncrementalAllocator {
   /// The shared single-proposer decision: arg-min Eq. 17 over serviceable
   /// candidates, commit on success, cloud otherwise.
   std::optional<BsId> place(UeId u);
+  /// Sets / clears slot u's bit in the cloud-dweller index.
+  void mark_cloud(UeId u, bool on);
 
   const Scenario* scenario_;
   IncrementalConfig config_;
@@ -147,7 +158,10 @@ class IncrementalAllocator {
   Allocation allocation_;
   std::vector<bool> active_;
   std::vector<bool> clamped_;  ///< per BS: capacity currently clamped
+  /// Bitset over slots, bit set iff the slot is active and cloud-forwarded.
+  std::vector<std::uint64_t> cloud_bits_;
   std::size_t num_active_ = 0;
+  std::size_t num_cloud_ = 0;
   std::size_t clamped_bss_ = 0;
   double live_profit_ = 0.0;
 };

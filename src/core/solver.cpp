@@ -54,10 +54,15 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
   const std::size_t nu = scenario.num_ues();
   LiveCandidates b_u;
   b_u.build(scenario);
-  std::vector<bool> at_cloud(nu, false);
+  // The seeker worklist: unmatched UEs with a non-empty B_u, ascending.
+  // Each proposal pass compacts it in place (accepted and exhausted UEs
+  // drop out), so a round costs its seekers, not the whole population,
+  // and proposal order — hence every tie-break — stays UE-id order.
+  std::vector<UeId> seekers;
+  seekers.reserve(nu);
   for (std::size_t ui = 0; ui < nu; ++ui) {
     const UeId u{static_cast<std::uint32_t>(ui)};
-    if (!matched[ui] && b_u.empty(u)) at_cloud[ui] = true;
+    if (!matched[ui] && !b_u.empty(u)) seekers.push_back(u);
   }
 
   const std::size_t round_limit = config.max_rounds > 0 ? config.max_rounds : nu + 1;
@@ -94,19 +99,17 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
     prop_bs.clear();
     prop_info.clear();
     std::size_t sent_this_round = 0;
-    for (std::size_t ui = 0; ui < nu; ++ui) {
-      if (matched[ui] || at_cloud[ui]) continue;
-      const UeId u{static_cast<std::uint32_t>(ui)};
+    std::size_t still_seeking = 0;
+    for (const UeId u : seekers) {
+      if (matched[u.idx()]) continue;  // accepted last round
       const ServiceId j = scenario.ue(u).service;
       const auto view = [&state, j](std::size_t, BsId i) {
         return std::pair<std::uint32_t, std::uint32_t>{state.remaining_crus(i, j),
                                                        state.remaining_rrbs(i)};
       };
       const auto choice = choose_proposal_soa(scenario, b_u, u, config.rho, view);
-      if (!choice) {
-        at_cloud[ui] = true;  // Alg. 1: B_u exhausted → remote cloud
-        continue;
-      }
+      if (!choice) continue;  // Alg. 1: B_u exhausted → remote cloud
+      seekers[still_seeking++] = u;
       const std::uint32_t f_u = live_coverage_count_soa(scenario, u, view);
       prop_bs.push_back(choice->value);
       prop_info.push_back(ProposalInfo{u, f_u});
@@ -121,6 +124,7 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
         rec->record(e);
       }
     }
+    seekers.resize(still_seeking);
     // dmra::hotpath end(solver-propose)
     if (sent_this_round == 0) {
       converged = true;
@@ -187,10 +191,8 @@ DmraResult solve_dmra_partial(const Scenario& scenario, const DmraConfig& config
       row.trim_evictions = tally.trim_evictions;
       row.broadcasts = tally.broadcasts;
       row.messages = 0;  // direct solver: no bus
-      std::size_t seeking = 0;
-      for (std::size_t ui = 0; ui < nu; ++ui)
-        if (!matched[ui] && !at_cloud[ui]) ++seeking;
-      row.unmatched_ues = seeking;
+      // Every seeker proposed this round; the rejected ones still seek.
+      row.unmatched_ues = sent_this_round - accepted_this_round;
       row.cumulative_profit = traced_profit;
       sum_headroom(scenario, state, row.cru_headroom, row.rrb_headroom);
       rec->finish_round(row);

@@ -290,7 +290,6 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
   std::size_t episode_start = 0;
 
   std::string& log = result.event_log;
-  std::size_t cloud_active = 0;  // active slots currently cloud-forwarded
 
   const auto region_of = [&](std::uint32_t slot) { return partition.ue_region[slot]; };
   const auto record_timeline = [&](obs::TraceRecorder* rec, std::string_view label,
@@ -335,7 +334,6 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       ++stats.crashes;
       stats.orphaned_ues += evicted;
       stats.reassociations += evicted;  // served → cloud is an assignment move
-      cloud_active += evicted;
       if (fr != nullptr) {
         // Incremental (not end-of-run) so windowed rollups see the step.
         fr->metrics().add_counter("churn.crashes");
@@ -443,21 +441,17 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       case ChurnEventKind::kArrival:
         ++stats.arrivals;
         decided ? ++stats.admitted_to_bs : ++stats.admitted_to_cloud;
-        if (!decided) ++cloud_active;
         log += " -> ";
         append_bs(decided);
         break;
       case ChurnEventKind::kDeparture:
         ++stats.departures;
-        if (!was) --cloud_active;
         log += " was=";
         append_bs(was);
         break;
       case ChurnEventKind::kMove: {
         ++stats.moves;
         decided ? ++stats.admitted_to_bs : ++stats.admitted_to_cloud;
-        if (!was) --cloud_active;
-        if (!decided) ++cloud_active;
         if (was && (!decided || *decided != *was)) ++stats.reassociations;
         const bool crossed = region_of(ev.prev_slot) != region_of(ev.slot);
         if (crossed) ++stats.cross_region_moves;
@@ -483,7 +477,7 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
         case ChurnEventKind::kMove: m.add_counter("churn.moves"); break;
       }
       m.set_gauge("churn.active", static_cast<double>(alloc.num_active()));
-      m.set_gauge("churn.cloud_active", static_cast<double>(cloud_active));
+      m.set_gauge("churn.cloud_active", static_cast<double>(alloc.num_cloud_dwellers()));
     }
 
     // 3. Drain the crash backlog: recovery_batch re-placement attempts.
@@ -497,7 +491,6 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       const auto placed = alloc.reattempt(u);
       if (placed) {
         ++stats.readmitted;
-        --cloud_active;
         if (fr != nullptr) fr->metrics().add_counter("churn.readmitted");
         log += "e=";
         append_num(log, idx);
@@ -516,16 +509,18 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       backlog_head = 0;
     }
 
-    // 4. Periodic readmit sweep over every cloud dweller with candidates.
+    // 4. Periodic readmit sweep over every cloud dweller with candidates,
+    //    in ascending slot order. The walk follows the allocator's
+    //    cloud-dweller index, so it costs the dwellers, not the universe;
+    //    a placement clears only the bit already passed.
     if (config.readmit_every > 0 && (idx + 1) % config.readmit_every == 0) {
-      for (std::size_t si = 0; si < universe.num_ues(); ++si) {
+      for (std::size_t si = alloc.next_cloud_dweller(0); si < universe.num_ues();
+           si = alloc.next_cloud_dweller(si + 1)) {
         const UeId u{static_cast<std::uint32_t>(si)};
-        if (!alloc.active(u) || !alloc.allocation().is_cloud(u)) continue;
         if (universe.coverage_count(u) == 0) continue;
         const auto placed = alloc.reattempt(u);
         if (placed) {
           ++stats.readmitted;
-          --cloud_active;
           if (fr != nullptr) fr->metrics().add_counter("churn.readmitted");
           log += "e=";
           append_num(log, idx);
@@ -616,7 +611,7 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       row.trim_evictions = tally.trim_evictions;
       row.broadcasts = tally.broadcasts;
       row.messages = 0;
-      row.unmatched_ues = cloud_active;
+      row.unmatched_ues = alloc.num_cloud_dwellers();
       row.cumulative_profit = alloc.live_profit();
       std::uint64_t cru_headroom = 0, rrb_headroom = 0;
       for (std::size_t i = 0; i < universe.num_bss(); ++i) {
@@ -636,7 +631,7 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
       obs::RoundRow row;
       row.source = "sim/churn";
       row.round = idx;
-      row.unmatched_ues = cloud_active;
+      row.unmatched_ues = alloc.num_cloud_dwellers();
       row.cumulative_profit = alloc.live_profit();
       fr->finish_round(row);
     }
@@ -663,7 +658,7 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
   stats.final_profit = alloc.live_profit();
   stats.final_active = alloc.num_active();
   stats.final_served = alloc.allocation().num_served();
-  stats.final_cloud = cloud_active;
+  stats.final_cloud = alloc.num_cloud_dwellers();
   log += "final events=";
   append_num(log, stats.events);
   log += " active=";

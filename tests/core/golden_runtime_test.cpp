@@ -18,6 +18,13 @@
 //    bus-level mechanisms, pinned by BusFaultStreamPinned), recovery
 //    counters included, so the fault-path draw order is pinned too.
 //
+// A second table, kChurnGolden, pins the serving driver (sim/churn): one
+// run_churn replay per row with the readmit sweep and the periodic
+// resolve on, plus one faulted arm (crash, degradation, recovery). It
+// holds every deterministic output those maintenance passes feed: the
+// event-log hash, final profit bits, readmissions, resolve count and gaps,
+// and the final cloud population.
+//
 // Regenerating (only legitimate after an intentional semantic change):
 //   DMRA_GOLDEN_REGEN=1 ./build/tests/core_test
 //     --gtest_filter='GoldenRuntime.*' 2>/dev/null
@@ -39,6 +46,7 @@
 #include "core/solver.hpp"
 #include "mec/allocation.hpp"
 #include "obs/recorder.hpp"
+#include "sim/churn.hpp"
 #include "sim/faults.hpp"
 #include "workload/generator.hpp"
 
@@ -210,6 +218,86 @@ constexpr GoldenRow kGolden[kSeeds] = {
      82ull, 50202ull, 3903ull, 0ull, 0ull, 19ull, 0ull, 0x40abd00def528e65ull},
 };
 
+struct ChurnGoldenRow {
+  std::uint64_t seed;
+  bool faulted;
+  std::uint64_t log_hash;  ///< FNV-1a of ChurnResult::event_log
+  std::uint64_t final_profit_bits;
+  std::uint64_t readmitted;
+  std::uint64_t resolves;
+  std::uint64_t gap_last_bits;
+  std::uint64_t gap_max_bits;
+  std::uint64_t final_cloud;
+  std::uint64_t fault_actions;  ///< crashes + degradations + recoveries
+};
+
+/// A loaded steady state (≈1,000 UEs on the default deployment) so the
+/// readmit sweep has cloud dwellers to place and the resolve has a gap.
+ChurnGoldenRow run_churn_probe(std::uint64_t seed, bool faulted) {
+  ChurnConfig cfg;
+  cfg.arrival_rate_hz = 10.0;
+  cfg.mean_dwell_s = 100.0;
+  cfg.mean_move_interval_s = 60.0;
+  cfg.prefill = cfg.steady_state_target();
+  cfg.horizon_events = 2500;
+  cfg.readmit_every = 64;
+  cfg.resolve_every = 400;
+  cfg.seed = seed;
+  if (faulted) {
+    FaultSpec spec;
+    spec.crashes = 3;
+    spec.crash_round = 1200;  // event indices on the serving timeline
+    spec.down_rounds = 600;
+    spec.degradations = 2;
+    spec.degrade_round = 1100;
+    spec.seed = seed;
+    cfg.faults = spec;
+    // One orphan re-placement per event: the backlog drains slower than
+    // the readmit sweep comes round, so the sweep re-places orphans too.
+    cfg.recovery_batch = 1;
+  }
+  const ChurnResult r = run_churn(cfg);
+  ChurnGoldenRow row{};
+  row.seed = seed;
+  row.faulted = faulted;
+  row.log_hash = fnv1a(r.event_log);
+  row.final_profit_bits = std::bit_cast<std::uint64_t>(r.stats.final_profit);
+  row.readmitted = r.stats.readmitted;
+  row.resolves = r.stats.resolves;
+  row.gap_last_bits = std::bit_cast<std::uint64_t>(r.stats.resolve_gap_last);
+  row.gap_max_bits = std::bit_cast<std::uint64_t>(r.stats.resolve_gap_max);
+  row.final_cloud = r.stats.final_cloud;
+  row.fault_actions = r.stats.crashes + r.stats.degradations + r.stats.recoveries;
+  return row;
+}
+
+void print_churn_row(const ChurnGoldenRow& r) {
+  std::printf("    {%lluull, %s, 0x%llxull, 0x%llxull, %lluull, %lluull,\n"
+              "     0x%llxull, 0x%llxull, %lluull, %lluull},\n",
+              static_cast<unsigned long long>(r.seed), r.faulted ? "true" : "false",
+              static_cast<unsigned long long>(r.log_hash),
+              static_cast<unsigned long long>(r.final_profit_bits),
+              static_cast<unsigned long long>(r.readmitted),
+              static_cast<unsigned long long>(r.resolves),
+              static_cast<unsigned long long>(r.gap_last_bits),
+              static_cast<unsigned long long>(r.gap_max_bits),
+              static_cast<unsigned long long>(r.final_cloud),
+              static_cast<unsigned long long>(r.fault_actions));
+}
+
+// Fingerprints generated from the full-slot-scan readmit sweep and the
+// per-round seeker scan in solve_dmra_partial (see header).
+constexpr ChurnGoldenRow kChurnGolden[] = {
+    {1ull, false, 0x77f98b24396ccd99ull, 0x40c348f29de4799eull, 174ull, 6ull,
+     0x3f9f3ff446db85d8ull, 0x3f9f3ff446db85d8ull, 72ull, 0ull},
+    {2ull, false, 0xd94f253c06516bb3ull, 0x40c343507c0cb30eull, 187ull, 6ull,
+     0x3f938ba5d9bb161eull, 0x3f938ba5d9bb161eull, 78ull, 0ull},
+    {3ull, false, 0x45b0447c9bdbe44cull, 0x40c3779c449a6bdfull, 192ull, 6ull,
+     0x3fa352815e9384a8ull, 0x3fa352815e9384a8ull, 59ull, 0ull},
+    {4ull, true, 0xc08d74a57b3dea85ull, 0x40c25ab3b7c0d7deull, 247ull, 6ull,
+     0x3fad5a8f9fcbd73eull, 0x3fad5a8f9fcbd73eull, 121ull, 8ull},
+};
+
 // See BusFaultStreamPinned below; regenerated alongside kGolden.
 constexpr std::uint64_t kBusFaultStreamHash = 0x4fdb0e93353ec4adull;
 
@@ -241,6 +329,27 @@ TEST(GoldenRuntime, ByteIdenticalAcrossSeeds) {
     EXPECT_EQ(got.flt_orphaned, want.flt_orphaned);
     EXPECT_EQ(got.flt_cloud_fallbacks, want.flt_cloud_fallbacks);
     EXPECT_EQ(got.flt_profit_bits, want.flt_profit_bits);
+  }
+}
+
+TEST(GoldenRuntime, ChurnByteIdenticalAcrossSeeds) {
+  if (std::getenv("DMRA_GOLDEN_REGEN") != nullptr) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull})
+      print_churn_row(run_churn_probe(seed, /*faulted=*/false));
+    print_churn_row(run_churn_probe(4, /*faulted=*/true));
+    GTEST_SKIP() << "regen mode: rows printed to stdout";
+  }
+  for (const ChurnGoldenRow& want : kChurnGolden) {
+    const ChurnGoldenRow got = run_churn_probe(want.seed, want.faulted);
+    SCOPED_TRACE("churn seed " + std::to_string(want.seed));
+    EXPECT_EQ(got.log_hash, want.log_hash);
+    EXPECT_EQ(got.final_profit_bits, want.final_profit_bits);
+    EXPECT_EQ(got.readmitted, want.readmitted);
+    EXPECT_EQ(got.resolves, want.resolves);
+    EXPECT_EQ(got.gap_last_bits, want.gap_last_bits);
+    EXPECT_EQ(got.gap_max_bits, want.gap_max_bits);
+    EXPECT_EQ(got.final_cloud, want.final_cloud);
+    EXPECT_EQ(got.fault_actions, want.fault_actions);
   }
 }
 

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "../test_util.hpp"
 #include "core/dmra_allocator.hpp"
 #include "mobility/handover.hpp"
 #include "sim/feasibility.hpp"
 #include "util/require.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace dmra {
@@ -292,6 +297,127 @@ TEST(IncrementalAllocator, DegradeScalesRemainingAndRecoverRecounts) {
     const ServiceId sj{static_cast<std::uint32_t>(j)};
     EXPECT_EQ(inc.state().remaining_crus(target, sj), recount.remaining_crus(target, sj));
   }
+}
+
+// ---- The cloud-dweller index -----------------------------------------------
+
+/// The reference the index must agree with: a full scan for active,
+/// cloud-forwarded slots.
+std::vector<std::size_t> cloud_dwellers_by_scan(const IncrementalAllocator& inc) {
+  std::vector<std::size_t> out;
+  for (std::size_t ui = 0; ui < inc.scenario().num_ues(); ++ui) {
+    const UeId u{static_cast<std::uint32_t>(ui)};
+    if (inc.active(u) && inc.allocation().is_cloud(u)) out.push_back(ui);
+  }
+  return out;
+}
+
+std::vector<std::size_t> cloud_dwellers_by_index(const IncrementalAllocator& inc) {
+  std::vector<std::size_t> out;
+  const std::size_t n = inc.scenario().num_ues();
+  for (std::size_t u = inc.next_cloud_dweller(0); u < n; u = inc.next_cloud_dweller(u + 1))
+    out.push_back(u);
+  return out;
+}
+
+/// The index walk, its count, and every starting point agree with the scan.
+void expect_index_matches_scan(const IncrementalAllocator& inc) {
+  const std::vector<std::size_t> want = cloud_dwellers_by_scan(inc);
+  ASSERT_EQ(cloud_dwellers_by_index(inc), want);
+  ASSERT_EQ(inc.num_cloud_dwellers(), want.size());
+  const std::size_t n = inc.scenario().num_ues();
+  for (std::size_t from = 0; from <= n + 1; ++from) {
+    const auto it = std::lower_bound(want.begin(), want.end(), from);
+    ASSERT_EQ(inc.next_cloud_dweller(from), it == want.end() ? n : *it) << "from " << from;
+  }
+}
+
+// Random admit / remove / reattempt / crash / recover / degrade sequences
+// on a deployment small enough (4 BSs) that many admissions land in the
+// cloud; the index is checked against the scan after every operation.
+TEST(IncrementalAllocator, CloudDwellerIndexMatchesBruteForceScan) {
+  ScenarioConfig cfg;
+  cfg.num_sps = 2;
+  cfg.bss_per_sp = 2;
+  cfg.num_ues = 300;
+  for (const std::uint64_t seed : {41u, 43u, 47u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Scenario s = generate_scenario(cfg, seed);
+    IncrementalAllocator inc(s);
+    Rng rng("cloud-index", seed);
+    std::vector<UeId> orphans;
+    std::size_t peak = 0, reattempts = 0, crashes = 0, degrades = 0, recovers = 0;
+    for (int step = 0; step < 2000; ++step) {
+      const UeId u{static_cast<std::uint32_t>(rng.index(s.num_ues()))};
+      const BsId b{static_cast<std::uint32_t>(rng.index(s.num_bss()))};
+      switch (rng.index(20)) {
+        case 0: inc.crash_bs(b, orphans); ++crashes; break;
+        case 1: inc.degrade_bs(b, 0.5, 0.5); ++degrades; break;
+        case 2: case 3: inc.recover_bs(b); ++recovers; break;
+        default: {
+          if (!inc.active(u)) {
+            inc.admit(u);
+          } else if (inc.allocation().is_cloud(u) && rng.bernoulli(0.5)) {
+            inc.reattempt(u);
+            ++reattempts;
+          } else {
+            inc.remove(u);
+          }
+        }
+      }
+      expect_index_matches_scan(inc);
+      if (HasFatalFailure()) return;
+      peak = std::max(peak, inc.num_cloud_dwellers());
+    }
+    // The sequence really exercised the index and every operation.
+    EXPECT_GT(peak, 10u);
+    EXPECT_GT(reattempts, 0u);
+    EXPECT_GT(crashes, 0u);
+    EXPECT_GT(degrades, 0u);
+    EXPECT_GT(recovers, 0u);
+    EXPECT_FALSE(orphans.empty());
+  }
+}
+
+TEST(IncrementalAllocator, CloudDwellerIndexOnEmptyUniverse) {
+  ScenarioConfig cfg;
+  cfg.num_ues = 0;
+  const Scenario s = generate_scenario(cfg, 1);
+  const IncrementalAllocator inc(s);
+  EXPECT_EQ(inc.num_cloud_dwellers(), 0u);
+  EXPECT_EQ(inc.next_cloud_dweller(0), 0u);
+  EXPECT_EQ(inc.next_cloud_dweller(64), 0u);
+}
+
+// Cloud dwellers on both sides of the 64-bit word boundaries (63 | 64,
+// 127 | 128), queried from each side and from num_ues() and beyond.
+TEST(IncrementalAllocator, CloudDwellerIndexAtWordBoundaries) {
+  test::MiniScenario ms;
+  const SpId sp = ms.add_sp();
+  ms.add_bs(sp, {0, 0});
+  constexpr std::size_t kSlots = 130;
+  for (std::size_t ui = 0; ui < kSlots; ++ui) {
+    const bool uncovered = ui == 63 || ui == 64 || ui == 127;
+    ms.add_ue(sp, {uncovered ? 5000.0 : 50.0, 0.0}, ServiceId{0}, 1);
+  }
+  const Scenario s = ms.build();
+  IncrementalAllocator inc(s);
+  for (const std::uint32_t ui : {0u, 63u, 64u, 127u, 129u}) inc.admit(UeId{ui});
+  ASSERT_TRUE(inc.allocation().bs_of(UeId{0}).has_value());
+  ASSERT_TRUE(inc.allocation().bs_of(UeId{129}).has_value());
+  EXPECT_EQ(cloud_dwellers_by_index(inc), (std::vector<std::size_t>{63, 64, 127}));
+  EXPECT_EQ(inc.next_cloud_dweller(0), 63u);
+  EXPECT_EQ(inc.next_cloud_dweller(63), 63u);
+  EXPECT_EQ(inc.next_cloud_dweller(64), 64u);
+  EXPECT_EQ(inc.next_cloud_dweller(65), 127u);
+  EXPECT_EQ(inc.next_cloud_dweller(127), 127u);
+  EXPECT_EQ(inc.next_cloud_dweller(128), kSlots);
+  EXPECT_EQ(inc.next_cloud_dweller(kSlots), kSlots);
+  EXPECT_EQ(inc.next_cloud_dweller(kSlots + 1000), kSlots);
+  EXPECT_FALSE(inc.reattempt(UeId{127}));  // a failed retry keeps the bit
+  inc.remove(UeId{64});
+  EXPECT_EQ(inc.next_cloud_dweller(64), 127u);
+  expect_index_matches_scan(inc);
 }
 
 }  // namespace
