@@ -277,8 +277,8 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   const std::vector<UeId> empty_accepts;
 
   // Heap-allocation accounting: one count() sample per round when a probe
-  // is installed (perf_report, the zero-allocation test), one dead branch
-  // otherwise. The first rounds warm the lazily-grown pools (trace sinks,
+  // is installed (the zero-allocation test), one dead branch otherwise.
+  // The first rounds warm the lazily-grown pools (trace sinks,
   // libstdc++ internals); rounds past the settle window are asserted
   // allocation-free.
   constexpr std::uint64_t kAllocSettleRounds = 2;

@@ -75,9 +75,9 @@ struct FaultRecoveryStats {
 
 /// Heap-allocation accounting for the protocol's round loop, sampled from
 /// util/alloc_hook.hpp. Only meaningful when the running binary installed
-/// a counting probe (perf_report and the zero-allocation test link the
-/// dmra_alloc_count overrides); otherwise measured stays false and the
-/// sampling costs one branch per round. Deterministic: counts operator
+/// a counting probe (the zero-allocation test links the dmra_alloc_count
+/// overrides); otherwise measured stays false and the sampling costs one
+/// branch per round. Deterministic: counts operator
 /// new calls on this thread, not bytes or malloc internals.
 struct AllocCounters {
   bool measured = false;             ///< a counting probe was installed
@@ -140,8 +140,8 @@ struct ShardConfig {
 };
 
 /// What the shard pass and the reconcile pass did. The boundary counters
-/// are semantic outputs: tools/bench_diff.py fails a perf diff that moves
-/// them (they change only when the partition or the protocol changes).
+/// are semantic outputs: they change only when the partition or the
+/// protocol changes.
 struct ShardStats {
   std::size_t num_shards = 0;        ///< regions actually used (post-clamp)
   std::size_t jobs = 0;              ///< resolved worker count

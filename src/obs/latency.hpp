@@ -6,9 +6,8 @@
 // clock read; callers feed elapsed times into a LatencyHistogram, which —
 // like MetricsRegistry timers — stays OUT of every deterministic surface
 // (trace JSON, round CSV, event logs, golden fingerprints). Latency
-// numbers appear only in human-readable summaries, the perf-report
-// serving_run[] table (warn-only in tools/bench_diff.py), and the
-// histogram CSV artifact.
+// numbers appear only in human-readable summaries, the perfbench
+// serving metrics, and the histogram CSV artifact.
 #pragma once
 
 #include <cstddef>

@@ -1,15 +1,13 @@
-// Run-provenance manifests: one JSON document per bench/perf_report
-// invocation that records *everything needed to reproduce and interpret
-// the run* — the CLI flags as parsed, the generator configuration, the
+// Run-provenance manifests: one JSON document per bench invocation that
+// records *everything needed to reproduce and interpret the run* — the
+// CLI flags as parsed, the generator configuration, the
 // seed list, the fault spec, the worker count, the git revision and
 // build flavor the binary was compiled from, the final metrics-registry
 // snapshot, and the export files the run produced (trace JSON, round
-// CSV, bench JSON/CSV), cross-linked by path.
+// CSV, bench CSVs), cross-linked by path.
 //
 // Schema "dmra-manifest/1"; tools/check_trace.py validates it and
-// cross-checks the output links, and tools/bench_diff.py reads a
-// manifest next to each BENCH_core.json to annotate perf comparisons
-// with their provenance (docs/PROVENANCE.md).
+// cross-checks the output links (docs/PROVENANCE.md).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +31,7 @@ std::string_view git_describe();
 
 /// Compile-time build flavor: {"type": "Release", "sanitizers":
 /// "address;undefined" or "", "audit": bool}. Sanitizer builds measure a
-/// different program — bench_diff warns when flavors differ.
+/// different program, so timings are only comparable within one flavor.
 JsonObject build_flavor_json();
 
 /// Everything a manifest records. Fields left empty simply serialize
@@ -47,8 +45,7 @@ struct ManifestInput {
   std::uint64_t jobs = 0;                         ///< 0 = hardware concurrency
   std::string fault_spec;                         ///< --faults text, "" = fault-free
   /// (kind, path) of every file the run wrote: "trace", "round-csv",
-  /// "bench-json", "series-csv", ... — the cross-links check_trace.py
-  /// verifies.
+  /// "series-csv", ... — the cross-links check_trace.py verifies.
   std::vector<std::pair<std::string, std::string>> outputs;
   /// Deterministic metrics snapshot (counters + gauges, no wall-clock),
   /// nullptr when the run recorded none.

@@ -8,8 +8,8 @@
 //
 // With no recorder installed (the default), every hook site is a single
 // thread-local pointer load and branch — no allocation, no locking, no
-// event construction. bench/perf_report asserts this stays true by
-// checking events_recorded_total() does not move across an untraced run.
+// event construction. perfbench and the obs tests assert this stays true
+// by checking events_recorded_total() does not move across an untraced run.
 //
 // The recorder is installed per thread (like the audit observer in
 // mec/audit.hpp): parallel workers see no recorder unless one is
@@ -111,7 +111,7 @@ class ScopedTraceRecorder {
 
 /// Process-wide count of record() calls (relaxed atomic). The disabled
 /// path never records, so this counter standing still across a run is the
-/// no-op guarantee perf_report asserts.
+/// no-op guarantee perfbench and the obs tests assert.
 std::uint64_t events_recorded_total();
 
 /// Fold BusStats into the registry as bus.* counters — the registry is

@@ -199,7 +199,7 @@ struct ChurnResult {
   ChurnStats stats;
   ChurnSloReport slo;
   /// Per-event decision latency (wall clock — excluded from every
-  /// deterministic surface, warn-only in tools/bench_diff.py).
+  /// deterministic surface).
   obs::LatencyHistogram latency;
   /// One line per applied event (plus fault/readmit/resolve/final lines):
   /// the deterministic byte surface same-seed runs must reproduce

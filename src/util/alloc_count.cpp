@@ -1,8 +1,8 @@
 // Counting global allocator — the dmra_alloc_count library.
 //
 // Link this library ONLY into binaries that measure allocations
-// (bench/perf_report, tests/core/alloc_test): its strong operator
-// new/delete definitions replace the toolchain's for the whole binary.
+// (tests/core/alloc_test): its strong operator new/delete definitions
+// replace the toolchain's for the whole binary.
 // Each operator new bumps a thread-local counter that the alloc_hook
 // probe exposes; deletes are free. Call dmra::allocprobe::install() once
 // at startup to publish the probe.

@@ -1,9 +1,9 @@
 // The zero-allocation claim of ROADMAP item 2, test-asserted.
 //
-// This binary (and only this binary, plus bench/perf_report) links
-// dmra_alloc_count, whose global operator new overrides count every heap
-// allocation on the calling thread. run_decentralized_dmra samples the
-// counter once per protocol round; after the settle window (pools grown
+// This binary (and only this binary) links dmra_alloc_count, whose
+// global operator new overrides count every heap allocation on the
+// calling thread. run_decentralized_dmra samples the counter once per
+// protocol round; after the settle window (pools grown
 // to their high-water marks) the matching loop must not allocate at all.
 //
 // The dmra-lint hotpath rule proves no *unlicensed* growth calls exist in
@@ -72,6 +72,16 @@ TEST(AllocBudget, SteadyStateZeroHoldsAcrossSeedsAndSizes) {
       EXPECT_EQ(r.alloc.steady_state_allocations, 0u)
           << "n=" << n << " seed=" << seed;
     }
+  }
+  // The seed-1 runs at the paper-figure scales: pools settle in two
+  // rounds, and the whole round loop, settle window included, stays off
+  // the heap.
+  for (const std::size_t n : {500u, 1000u, 2000u}) {
+    const DecentralizedResult r = run_at(n, 1);
+    ASSERT_TRUE(r.alloc.measured);
+    EXPECT_EQ(r.alloc.settle_rounds, 2u) << "n=" << n;
+    EXPECT_EQ(r.alloc.total_allocations, 0u) << "n=" << n;
+    EXPECT_EQ(r.alloc.steady_state_allocations, 0u) << "n=" << n;
   }
 }
 

@@ -25,6 +25,16 @@
 // event-log hash, final profit bits, readmissions, resolve count and gaps,
 // and the final cloud population.
 //
+// A third pair of tables, kScaleGolden and kServingGolden, pins the protocol
+// cost counters at the scales the paper figures use: bus rounds, messages
+// and matching rounds of one seed-1 decentralized run at 500/1000/2000 UEs,
+// and every deterministic counter of the 10k-event serving replay over a
+// 2,000-UE steady state, with and without a BS crash. Each probe runs under
+// a fresh flight recorder, so the retained-event, post-mortem and
+// metric-window counts are per run. Wall time, RSS and throughput are not
+// pinned here; perfbench/ measures them. These rows are short: update them
+// from the EXPECT_EQ messages rather than a regen printout.
+//
 // Regenerating (only legitimate after an intentional semantic change):
 //   DMRA_GOLDEN_REGEN=1 ./build/tests/core_test
 //     --gtest_filter='GoldenRuntime.*' 2>/dev/null
@@ -45,6 +55,7 @@
 #include "net/bus.hpp"
 #include "core/solver.hpp"
 #include "mec/allocation.hpp"
+#include "obs/flight.hpp"
 #include "obs/recorder.hpp"
 #include "sim/churn.hpp"
 #include "sim/faults.hpp"
@@ -298,6 +309,99 @@ constexpr ChurnGoldenRow kChurnGolden[] = {
      0x3fad5a8f9fcbd73eull, 0x3fad5a8f9fcbd73eull, 121ull, 8ull},
 };
 
+struct ScaleGoldenRow {
+  std::size_t ues;
+  std::uint64_t bus_rounds;
+  std::uint64_t messages_sent;
+  std::uint64_t matching_rounds;
+  std::uint64_t flight_events_retained;
+};
+
+ScaleGoldenRow run_scale_probe(std::size_t ues) {
+  ScenarioConfig cfg;
+  cfg.num_ues = ues;
+  const Scenario s = generate_scenario(cfg, 1);
+  obs::FlightRecorder flight;
+  obs::ScopedFlightRecorder scope(&flight);
+  const DecentralizedResult r = run_decentralized_dmra(s);
+  return {ues, r.bus.rounds, r.bus.messages_sent,
+          static_cast<std::uint64_t>(r.dmra.rounds), flight.events_retained()};
+}
+
+constexpr ScaleGoldenRow kScaleGolden[] = {
+    {500, 38ull, 33162ull, 9ull, 2ull},
+    {1000, 62ull, 86473ull, 15ull, 2ull},
+    {2000, 38ull, 166662ull, 9ull, 2ull},
+};
+
+struct ServingGoldenRow {
+  bool faulted;
+  std::uint64_t events;
+  std::uint64_t arrivals;
+  std::uint64_t departures;
+  std::uint64_t moves;
+  std::uint64_t reassociations;
+  std::uint64_t cross_region_moves;
+  std::uint64_t readmitted;
+  std::uint64_t orphaned;
+  std::uint64_t recovery_events_max;
+  std::uint64_t resolves;
+  std::uint64_t final_active;
+  std::uint64_t final_served;
+  std::uint64_t final_profit_bits;
+  std::uint64_t gap_last_bits;
+  std::uint64_t flight_events_retained;
+  std::uint64_t postmortem_dumps;
+  std::uint64_t metric_windows;
+};
+
+/// The 10k-event replay over a ~2,000-UE steady state, optionally with one
+/// BS crash halfway through the timeline.
+ServingGoldenRow run_serving_probe(bool faulted) {
+  ChurnConfig cfg;
+  cfg.arrival_rate_hz = 20.0;
+  cfg.mean_dwell_s = 100.0;
+  cfg.mean_move_interval_s = 60.0;
+  cfg.horizon_events = 10'000;
+  cfg.resolve_every = 2'000;
+  cfg.prefill = cfg.steady_state_target();
+  cfg.seed = 1;
+  if (faulted) {
+    FaultSpec crash;
+    crash.crashes = 1;
+    crash.crash_round = cfg.horizon_events / 2;
+    crash.down_rounds = cfg.horizon_events / 10;
+    crash.seed = 9;
+    cfg.faults = crash;
+  }
+  obs::FlightRecorder::Config flight_cfg;
+  flight_cfg.window_len = 256;
+  obs::FlightRecorder flight(flight_cfg);
+  ChurnResult r;
+  {
+    obs::ScopedFlightRecorder scope(&flight);
+    r = run_churn(cfg);
+  }
+  const ChurnStats& st = r.stats;
+  return {faulted, st.events, st.arrivals, st.departures, st.moves,
+          st.reassociations, st.cross_region_moves, st.readmitted,
+          st.orphaned_ues, st.recovery_events_max, st.resolves,
+          st.final_active, st.final_served,
+          std::bit_cast<std::uint64_t>(st.final_profit),
+          std::bit_cast<std::uint64_t>(st.resolve_gap_last),
+          flight.events_retained(), flight.triggered() ? 1ull : 0ull,
+          flight.metrics().collect_windows().size()};
+}
+
+constexpr ServingGoldenRow kServingGolden[] = {
+    {false, 10000ull, 4178ull, 2166ull, 3656ull, 617ull, 160ull, 467ull, 0ull,
+     0ull, 5ull, 2012ull, 1007ull, 0x40c308e893f75ea6ull, 0x3fc013ea338cd2d5ull,
+     1024ull, 0ull, 40ull},
+    {true, 10000ull, 4178ull, 2166ull, 3656ull, 661ull, 160ull, 485ull, 42ull,
+     11ull, 5ull, 2012ull, 1000ull, 0x40c2e83b18b6367dull, 0x3fc0d40e2c615a8cull,
+     1024ull, 1ull, 40ull},
+};
+
 // See BusFaultStreamPinned below; regenerated alongside kGolden.
 constexpr std::uint64_t kBusFaultStreamHash = 0x4fdb0e93353ec4adull;
 
@@ -350,6 +454,38 @@ TEST(GoldenRuntime, ChurnByteIdenticalAcrossSeeds) {
     EXPECT_EQ(got.gap_max_bits, want.gap_max_bits);
     EXPECT_EQ(got.final_cloud, want.final_cloud);
     EXPECT_EQ(got.fault_actions, want.fault_actions);
+  }
+}
+
+TEST(GoldenRuntime, ScaleAndServingCountersPinned) {
+  for (const ScaleGoldenRow& want : kScaleGolden) {
+    const ScaleGoldenRow got = run_scale_probe(want.ues);
+    SCOPED_TRACE("ues " + std::to_string(want.ues));
+    EXPECT_EQ(got.bus_rounds, want.bus_rounds);
+    EXPECT_EQ(got.messages_sent, want.messages_sent);
+    EXPECT_EQ(got.matching_rounds, want.matching_rounds);
+    EXPECT_EQ(got.flight_events_retained, want.flight_events_retained);
+  }
+  for (const ServingGoldenRow& want : kServingGolden) {
+    const ServingGoldenRow got = run_serving_probe(want.faulted);
+    SCOPED_TRACE(want.faulted ? "serving, crash armed" : "serving");
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.arrivals, want.arrivals);
+    EXPECT_EQ(got.departures, want.departures);
+    EXPECT_EQ(got.moves, want.moves);
+    EXPECT_EQ(got.reassociations, want.reassociations);
+    EXPECT_EQ(got.cross_region_moves, want.cross_region_moves);
+    EXPECT_EQ(got.readmitted, want.readmitted);
+    EXPECT_EQ(got.orphaned, want.orphaned);
+    EXPECT_EQ(got.recovery_events_max, want.recovery_events_max);
+    EXPECT_EQ(got.resolves, want.resolves);
+    EXPECT_EQ(got.final_active, want.final_active);
+    EXPECT_EQ(got.final_served, want.final_served);
+    EXPECT_EQ(got.final_profit_bits, want.final_profit_bits);
+    EXPECT_EQ(got.gap_last_bits, want.gap_last_bits);
+    EXPECT_EQ(got.flight_events_retained, want.flight_events_retained);
+    EXPECT_EQ(got.postmortem_dumps, want.postmortem_dumps);
+    EXPECT_EQ(got.metric_windows, want.metric_windows);
   }
 }
 

@@ -238,7 +238,7 @@ TEST(FlightRecorder, FlightOnlyFanOutLeavesTraceRecorderDisabled) {
   // With a flight recorder but NO trace recorder installed, tasks must
   // still see recorder() == nullptr: the per-proposal trace
   // instrumentation stays off, and the process-wide trace counter stands
-  // still (the perf_report no-op check depends on this).
+  // still (the perfbench no-op check depends on this).
   ASSERT_EQ(recorder(), nullptr);
   FlightRecorder fr;
   ScopedFlightRecorder scope(&fr);
