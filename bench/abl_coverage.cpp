@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text(argv[0]);
     return 0;
   }
-  const auto num_ues = static_cast<std::size_t>(cli.get_int("ues"));
-  const auto seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  const auto num_ues = cli.get_count("ues");
+  const auto seeds = dmra::default_seeds(cli.get_count("seeds"));
   dmra_bench::ObsSession obs_session(cli, argv[0]);
   const std::size_t jobs = dmra_bench::jobs_from(cli);
   dmra::ScenarioConfig base_cfg = dmra_bench::paper_config();

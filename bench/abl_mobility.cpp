@@ -1,19 +1,19 @@
 // Ablation A7: association churn under mobility. Sweeps UE speed under
-// random-waypoint movement and reports handover rate and profit stability
-// for DMRA — quantifying the paper's "the best association changes over
-// time" premise and what periodic re-allocation costs.
+// random-waypoint movement on the churn engine (src/sim/churn) and reports
+// how often DMRA's live allocation re-associates moving UEs, and how far
+// it drifts below a from-scratch DMRA resolve — quantifying the paper's
+// "the best association changes over time" premise.
 
 #include <iostream>
-#include <utility>
 
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   dmra::Cli cli;
   cli.add_flag("speeds", "0,1,5,15,30", "mean UE speeds (m/s) to sweep; 0 = static");
-  cli.add_flag("ues", "600", "number of UEs");
-  cli.add_flag("steps", "12", "re-allocation steps");
-  cli.add_flag("dt", "2", "seconds per step");
+  cli.add_flag("ues", "600", "steady-state UE population (dwell 60 s)");
+  cli.add_flag("horizon", "6000", "events served after the steady-state prefill");
+  cli.add_flag("move-every", "2", "mean seconds between moves per UE");
   cli.add_flag("seeds", "5", "seeds per configuration");
   dmra_bench::add_jobs_flag(cli);
   dmra_bench::add_obs_flags(cli);
@@ -27,103 +27,61 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text(argv[0]);
     return 0;
   }
-  const auto seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  const auto seeds = dmra::default_seeds(cli.get_count("seeds"));
   dmra_bench::ObsSession obs_session(cli, argv[0]);
   const std::size_t jobs = dmra_bench::jobs_from(cli);
   obs_session.describe_scenario(dmra_bench::paper_config());
   obs_session.describe_run(seeds, jobs);
   const auto faults = dmra_bench::faults_from(cli);
-  const dmra::AllocatorPtr algo = dmra_bench::make_dmra({}, faults);
+  const std::size_t ues = cli.get_count("ues");
+  const std::size_t horizon = cli.get_count("horizon");
 
-  std::cout << "== A7: handover churn vs UE speed (random waypoint, DMRA re-run every "
-            << cli.get_double("dt") << " s) ==\n\n";
-  dmra::Table table({"speed (m/s)", "handover rate", "edge->cloud/step", "mean profit",
-                     "profit stddev"});
+  std::cout << "== A7: handover churn vs UE speed (random waypoint, DMRA on the churn "
+               "engine, a move every "
+            << cli.get_double("move-every") << " s per UE) ==\n\n";
+  dmra::Table table({"speed (m/s)", "moves", "handover rate", "churn rate", "live profit",
+                     "resolve gap"});
   struct SeedValues {
-    double rate, churn, profit_mean, profit_sd;
+    double moves, handover_rate, churn_rate, profit, gap;
   };
   for (const double speed : cli.get_double_list("speeds")) {
     const auto per_seed = dmra::obs::traced_parallel_map(jobs, seeds.size(), [&](std::size_t si) {
-      dmra::HandoverConfig cfg;
-      cfg.scenario.num_ues = static_cast<std::size_t>(cli.get_int("ues"));
-      cfg.steps = static_cast<std::size_t>(cli.get_int("steps"));
-      cfg.step_duration_s = cli.get_double("dt");
+      dmra::ChurnConfig cfg;
+      cfg.mean_dwell_s = 60.0;
+      cfg.arrival_rate_hz = static_cast<double>(ues) / cfg.mean_dwell_s;
+      cfg.prefill = ues;
+      cfg.horizon_events = ues + horizon;
+      cfg.resolve_every = horizon / 4 + 1;
+      cfg.faults = faults;
       cfg.seed = seeds[si];
-      if (speed <= 0.0) {
-        cfg.mobility = dmra::MobilityKind::kStatic;
-      } else {
-        cfg.mobility = dmra::MobilityKind::kRandomWaypoint;
+      if (speed > 0.0) {
+        cfg.mean_move_interval_s = cli.get_double("move-every");
         cfg.waypoint.speed_min_mps = speed * 0.5;
         cfg.waypoint.speed_max_mps = speed * 1.5;
       }
-      const dmra::HandoverResult r = dmra::run_handover_study(cfg, *algo);
-      dmra::RunningStats per_step_profit;
-      double cloud_churn = 0.0;
-      for (const dmra::HandoverStepStats& s : r.steps) {
-        per_step_profit.add(s.profit);
-        cloud_churn += static_cast<double>(s.edge_to_cloud);
-      }
-      return SeedValues{r.handover_rate,
-                        cloud_churn / static_cast<double>(r.steps.size()),
-                        per_step_profit.mean(), per_step_profit.stddev()};
+      const dmra::ChurnStats s = dmra::run_churn(cfg).stats;
+      const double moves = static_cast<double>(s.moves);
+      // Re-associations net of crash evictions: the moves that changed BS.
+      const double handovers = static_cast<double>(s.reassociations - s.orphaned_ues);
+      return SeedValues{moves, moves > 0.0 ? handovers / moves : 0.0, s.churn_rate(),
+                        s.final_profit, s.resolve_gap_last};
     });
-    dmra::RunningStats rate, churn, profit_mean, profit_sd;
+    dmra::RunningStats moves, rate, churn, profit, gap;
     for (const SeedValues& v : per_seed) {  // seed order: jobs-invariant
-      rate.add(v.rate);
-      churn.add(v.churn);
-      profit_mean.add(v.profit_mean);
-      profit_sd.add(v.profit_sd);
+      moves.add(v.moves);
+      rate.add(v.handover_rate);
+      churn.add(v.churn_rate);
+      profit.add(v.profit);
+      gap.add(v.gap);
     }
-    table.add_row({dmra::fmt(speed, 0), dmra::fmt(rate.mean(), 3),
-                   dmra::fmt(churn.mean(), 1), dmra::fmt(profit_mean.mean()),
-                   dmra::fmt(profit_sd.mean())});
+    table.add_row({dmra::fmt(speed, 0), dmra::fmt(moves.mean(), 0), dmra::fmt(rate.mean(), 3),
+                   dmra::fmt(churn.mean(), 3), dmra::fmt(profit.mean()),
+                   dmra::fmt(gap.mean(), 3)});
   }
   std::cout << table.to_aligned()
-            << "\nreading: handover rate grows with speed while mean profit stays flat —\n"
-               "re-running DMRA keeps the allocation near-optimal as UEs move, at the\n"
-               "price of churn that incremental re-allocation damps (below).\n\n";
-
-  // Part 2: full re-run vs incremental DMRA at one representative speed.
-  std::cout << "-- re-allocation policy at 15 m/s --\n\n";
-  dmra::Table policy_table(
-      {"policy", "hysteresis", "handover rate", "mean profit"});
-  struct PolicyRow {
-    const char* label;
-    dmra::ReallocationPolicy policy;
-    double margin;
-  };
-  const std::vector<PolicyRow> rows = {
-      {"full re-run", dmra::ReallocationPolicy::kFullRerun, 0.0},
-      {"incremental (sticky)", dmra::ReallocationPolicy::kIncremental, 1e18},
-      {"incremental", dmra::ReallocationPolicy::kIncremental, 0.5},
-      {"incremental (eager)", dmra::ReallocationPolicy::kIncremental, 0.1},
-  };
-  for (const PolicyRow& row : rows) {
-    const auto per_seed = dmra::obs::traced_parallel_map(jobs, seeds.size(), [&](std::size_t si) {
-      dmra::HandoverConfig cfg;
-      cfg.scenario.num_ues = static_cast<std::size_t>(cli.get_int("ues"));
-      cfg.steps = static_cast<std::size_t>(cli.get_int("steps"));
-      cfg.step_duration_s = cli.get_double("dt");
-      cfg.seed = seeds[si];
-      cfg.mobility = dmra::MobilityKind::kRandomWaypoint;
-      cfg.waypoint.speed_min_mps = 7.5;
-      cfg.waypoint.speed_max_mps = 22.5;
-      cfg.policy = row.policy;
-      cfg.incremental.hysteresis_margin = row.margin;
-      const dmra::HandoverResult r = dmra::run_handover_study(cfg, *algo);
-      return std::make_pair(r.handover_rate, r.mean_profit);
-    });
-    dmra::RunningStats rate, profit;
-    for (const auto& [r, p] : per_seed) {  // seed order: jobs-invariant
-      rate.add(r);
-      profit.add(p);
-    }
-    policy_table.add_row({row.label,
-                          row.margin > 1e17 ? "inf" : dmra::fmt(row.margin, 1),
-                          dmra::fmt(rate.mean(), 3), dmra::fmt(profit.mean())});
-  }
-  std::cout << policy_table.to_aligned()
-            << "\nreading: incremental DMRA keeps most of the full-rerun profit at a\n"
-               "fraction of the handovers; the hysteresis margin trades the two off.\n";
+            << "\nreading: handover rate is re-associations per move (a move that lands on\n"
+               "another BS); churn rate is re-associations per event. Faster UEs travel\n"
+               "further between moves, so more moves change BS, while the live profit\n"
+               "stays within the resolve gap of a from-scratch DMRA solve.\n";
   return 0;
 }

@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
   dmra_bench::ObsSession obs_session(cli, argv[0]);
 
   dmra::AdaptivePricingConfig cfg;
-  cfg.scenario.num_ues = static_cast<std::size_t>(cli.get_int("ues"));
+  cfg.scenario.num_ues = cli.get_count("ues");
   cfg.scenario.ue_distribution = dmra::UeDistribution::kHotspots;  // imbalance to fix
-  cfg.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+  cfg.rounds = cli.get_count("rounds");
   cfg.target_utilization = cli.get_double("target");
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   obs_session.describe_scenario(cfg.scenario);

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       {"price-only (rho=0)", dmra::DmraConfig{.rho = 0.0}},
   };
 
-  const auto seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  const auto seeds = dmra::default_seeds(cli.get_count("seeds"));
   dmra_bench::ObsSession obs_session(cli, argv[0]);
   const std::size_t jobs = dmra_bench::jobs_from(cli);
   obs_session.describe_scenario(dmra_bench::paper_config());

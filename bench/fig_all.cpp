@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   }
   const std::filesystem::path out_dir = cli.get_string("out");
   std::filesystem::create_directories(out_dir);
-  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
+  const auto seeds = cli.get_count("seeds");
   dmra_bench::ObsSession obs_session(cli, argv[0]);
   const std::size_t jobs = dmra_bench::jobs_from(cli);
   const auto faults = dmra_bench::faults_from(cli);

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                (kRegular ? "regular" : "random") + " BS placement)";
   spec.x_label = "UEs";
   spec.xs = cli.get_double_list("ues");
-  spec.seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  spec.seeds = dmra::default_seeds(cli.get_count("seeds"));
   spec.make_config = [](double x) {
     dmra::ScenarioConfig cfg = dmra_bench::paper_config();
     cfg.num_ues = static_cast<std::size_t>(x);

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text(argv[0]);
     return 0;
   }
-  const auto num_ues = static_cast<std::size_t>(cli.get_int("ues"));
+  const auto num_ues = cli.get_count("ues");
   const auto faults = dmra_bench::faults_from(cli);
 
   dmra::ExperimentSpec spec;
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                          "Fig. 7: total forwarded traffic load vs. rho (iota=1.1, 1000 UEs)");
   spec.x_label = "rho";
   spec.xs = cli.get_double_list("rho");
-  spec.seeds = dmra::default_seeds(static_cast<std::size_t>(cli.get_int("seeds")));
+  spec.seeds = dmra::default_seeds(cli.get_count("seeds"));
   spec.metric_label = kProfit ? "total profit" : "forwarded traffic (Mbps)";
   spec.metric = [](const dmra::RunMetrics& m) {
     return kProfit ? m.total_profit : m.forwarded_traffic_mbps;

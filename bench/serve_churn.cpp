@@ -145,11 +145,11 @@ int main(int argc, char** argv) {
   base.arrival_rate_hz = cli.get_double("rate");
   base.mean_dwell_s = cli.get_double("dwell");
   base.mean_move_interval_s = cli.get_double("move-every");
-  base.horizon_events = static_cast<std::size_t>(cli.get_int("horizon"));
-  base.resolve_every = static_cast<std::size_t>(cli.get_int("resolve-every"));
-  base.readmit_every = static_cast<std::size_t>(cli.get_int("readmit-every"));
-  base.recovery_batch = static_cast<std::size_t>(cli.get_int("recovery-batch"));
-  base.regions = static_cast<std::size_t>(cli.get_int("regions"));
+  base.horizon_events = cli.get_count("horizon");
+  base.resolve_every = cli.get_count("resolve-every");
+  base.readmit_every = cli.get_count("readmit-every");
+  base.recovery_batch = cli.get_count("recovery-batch");
+  base.regions = cli.get_count("regions");
   base.incremental.dmra.rho = cli.get_double("rho");
   base.slo_p99_ns =
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, cli.get_int("slo-p99-us"))) *
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   base.faults = dmra_bench::faults_from(cli);
   base.prefill = cli.get_int("prefill") < 0
                      ? base.steady_state_target()
-                     : static_cast<std::size_t>(cli.get_int("prefill"));
+                     : cli.get_count("prefill");
 
   const std::size_t num_seeds =
       std::max<std::int64_t>(1, cli.get_int("seeds"));

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text(argv[0]);
     return 0;
   }
-  const std::size_t ues = static_cast<std::size_t>(cli.get_int("ues"));
-  const std::size_t shards = static_cast<std::size_t>(cli.get_int("shards"));
+  const std::size_t ues = cli.get_count("ues");
+  const std::size_t shards = cli.get_count("shards");
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const double max_gap = cli.get_double("max-gap");
 

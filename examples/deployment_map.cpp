@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   dmra::ScenarioConfig uniform;
-  uniform.num_ues = static_cast<std::size_t>(cli.get_int("ues"));
+  uniform.num_ues = cli.get_count("ues");
   show("uniform population (paper setup)", uniform, seed);
 
   dmra::ScenarioConfig hotspots = uniform;

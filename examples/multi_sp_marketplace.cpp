@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text(argv[0]);
     return 0;
   }
-  const auto ues = static_cast<std::size_t>(cli.get_int("ues"));
+  const auto ues = cli.get_count("ues");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   // --- Part 1: per-SP ledger at the paper's ι = 2 --------------------------

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   // 1. A scenario with the paper's §VI-A defaults: 5 SPs × 5 BSs on a
   //    300 m grid, 6 services, U{100..150} CRUs per (BS, service).
   dmra::ScenarioConfig cfg;
-  cfg.num_ues = static_cast<std::size_t>(cli.get_int("ues"));
+  cfg.num_ues = cli.get_count("ues");
   cfg.pricing.iota = cli.get_double("iota");
   const dmra::Scenario scenario = dmra::generate_scenario(cfg, cli.get_int("seed"));
 

@@ -5,64 +5,52 @@
 #include <tuple>
 
 #include "mec/audit.hpp"
-#include "mec/resources.hpp"
 
 namespace dmra {
+
+std::optional<BsId> DcspAllocator::place(const Scenario& scenario,
+                                         const ResourceState& state, UeId u) const {
+  const ServiceId j = scenario.ue(u).service;
+  std::optional<BsId> best;
+  double best_occ = 0.0;
+  for (const BsId i : scenario.candidates(u)) {
+    if (!state.can_serve(u, i)) continue;
+    const BaseStation& b = scenario.bs(i);
+    const double cap = static_cast<double>(b.cru_capacity[j.idx()] + b.num_rrbs);
+    const double rem =
+        static_cast<double>(state.remaining_crus(i, j) + state.remaining_rrbs(i));
+    const double occ = 1.0 - rem / cap;
+    // Candidates are ascending, so strict < keeps the smaller id on ties.
+    if (!best || occ < best_occ) {
+      best = i;
+      best_occ = occ;
+    }
+  }
+  return best;
+}
 
 Allocation DcspAllocator::allocate(const Scenario& scenario) const {
   ResourceState state(scenario);
   Allocation alloc(scenario.num_ues());
 
   const std::size_t nu = scenario.num_ues();
-  std::vector<std::vector<BsId>> b_u(nu);
   std::vector<bool> done(nu, false);  // matched or sent to cloud
-  for (std::size_t ui = 0; ui < nu; ++ui) {
-    const auto cands = scenario.candidates(UeId{static_cast<std::uint32_t>(ui)});
-    b_u[ui].assign(cands.begin(), cands.end());
-    if (b_u[ui].empty()) done[ui] = true;
-  }
-
-  auto occupancy = [&](UeId u, BsId i) {
-    const ServiceId j = scenario.ue(u).service;
-    const BaseStation& b = scenario.bs(i);
-    const double cap = static_cast<double>(b.cru_capacity[j.idx()] + b.num_rrbs);
-    const double rem =
-        static_cast<double>(state.remaining_crus(i, j) + state.remaining_rrbs(i));
-    return 1.0 - rem / cap;
-  };
 
   for (std::size_t round = 0; round < nu + 1; ++round) {
-    // UE proposals: lowest-occupancy feasible candidate.
+    // UE proposals: lowest-occupancy feasible candidate. Capacity only
+    // falls inside one allocate(), so a UE with none is done for good.
     std::map<BsId, std::vector<UeId>> proposals;
-    std::size_t sent = 0;
     for (std::size_t ui = 0; ui < nu; ++ui) {
       if (done[ui]) continue;
       const UeId u{static_cast<std::uint32_t>(ui)};
-      std::optional<BsId> choice;
-      while (!b_u[ui].empty() && !choice) {
-        std::size_t best = 0;
-        double best_occ = occupancy(u, b_u[ui][0]);
-        for (std::size_t n = 1; n < b_u[ui].size(); ++n) {
-          const double occ = occupancy(u, b_u[ui][n]);
-          if (occ < best_occ || (occ == best_occ && b_u[ui][n] < b_u[ui][best])) {
-            best = n;
-            best_occ = occ;
-          }
-        }
-        if (state.can_serve(u, b_u[ui][best])) {
-          choice = b_u[ui][best];
-        } else {
-          b_u[ui].erase(b_u[ui].begin() + static_cast<std::ptrdiff_t>(best));
-        }
-      }
+      const std::optional<BsId> choice = place(scenario, state, u);
       if (!choice) {
         done[ui] = true;  // candidates exhausted → remote cloud
         continue;
       }
       proposals[*choice].push_back(u);
-      ++sent;
     }
-    if (sent == 0) break;
+    if (proposals.empty()) break;
 
     // BS acceptance: fewest covering BSs first, then least radio, then id;
     // accept greedily while resources remain.
@@ -75,10 +63,7 @@ Allocation DcspAllocator::allocate(const Scenario& scenario) const {
         return ka < kb;
       });
       for (UeId u : ues) {
-        if (!state.can_serve(u, bs)) {
-          std::erase(b_u[u.idx()], bs);  // rejected → move down the list
-          continue;
-        }
+        if (!state.can_serve(u, bs)) continue;  // rejected → next round
         state.commit(u, bs);
         alloc.assign(u, bs);
         done[u.idx()] = true;

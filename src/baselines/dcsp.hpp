@@ -20,6 +20,11 @@ class DcspAllocator final : public Allocator {
  public:
   std::string name() const override { return "DCSP"; }
   Allocation allocate(const Scenario& scenario) const override;
+  /// The lowest-occupancy candidate that can serve u now (ties toward the
+  /// smaller BsId). Occupancy is measured against nominal capacity, so a
+  /// crashed or degraded BS reads as full.
+  std::optional<BsId> place(const Scenario& scenario, const ResourceState& state,
+                            UeId u) const override;
 };
 
 }  // namespace dmra

@@ -43,6 +43,18 @@ std::vector<UeId> admit(const Scenario& scenario, ResourceState& state, Allocati
 
 }  // namespace
 
+std::optional<BsId> NonCoAllocator::place(const Scenario& scenario,
+                                          const ResourceState& state, UeId u) const {
+  const bool one_shot = mode_ == Mode::kOneShot;
+  std::optional<BsId> best;
+  for (const BsId i : scenario.candidates(u)) {
+    if (!one_shot && !state.can_serve(u, i)) continue;
+    if (!best || scenario.link(u, i).sinr > scenario.link(u, *best).sinr) best = i;
+  }
+  if (one_shot && best && !state.can_serve(u, *best)) return std::nullopt;
+  return best;
+}
+
 Allocation NonCoAllocator::allocate(const Scenario& scenario) const {
   ResourceState state(scenario);
   Allocation alloc(scenario.num_ues());

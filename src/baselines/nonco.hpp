@@ -32,6 +32,11 @@ class NonCoAllocator final : public Allocator {
     return mode_ == Mode::kOneShot ? "NonCo" : "NonCo-iter";
   }
   Allocation allocate(const Scenario& scenario) const override;
+  /// One-shot: the max-SINR candidate if it can serve u now, else the
+  /// cloud. Iterative: the max-SINR candidate that can serve u now.
+  /// SINR ties break toward the smaller BsId in both modes.
+  std::optional<BsId> place(const Scenario& scenario, const ResourceState& state,
+                            UeId u) const override;
 
  private:
   Mode mode_;

@@ -16,7 +16,10 @@ class DmraAllocator final : public Allocator {
   Allocation allocate(const Scenario& scenario) const override {
     return solve_dmra(scenario, config_).allocation;
   }
-  const DmraConfig& config() const { return config_; }
+  /// Arg-min Eq. 17 preference (price + ρ / remaining) over the
+  /// candidates that can serve u now; ties toward the smaller BsId.
+  std::optional<BsId> place(const Scenario& scenario, const ResourceState& state,
+                            UeId u) const override;
 
  private:
   DmraConfig config_;

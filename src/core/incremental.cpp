@@ -1,6 +1,5 @@
 #include "core/incremental.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "mec/audit.hpp"
@@ -11,97 +10,12 @@
 
 namespace dmra {
 
-IncrementalResult solve_incremental_dmra(const Scenario& scenario,
-                                         const Allocation& previous,
-                                         const IncrementalConfig& config) {
-  DMRA_REQUIRE(previous.num_ues() == scenario.num_ues());
-  DMRA_REQUIRE(config.hysteresis_margin >= 0.0);
-
-  IncrementalResult result;
-  ResourceState state(scenario);
-  Allocation allocation(scenario.num_ues());
-  std::vector<bool> matched(scenario.num_ues(), false);
-
-  // Phase 1: carry over what still works. Commit in UE-id order so a BS
-  // that can no longer hold *all* its previous UEs keeps a deterministic
-  // prefix of them.
-  // dmra::hotpath begin(carry-over)
-  for (std::size_t ui = 0; ui < scenario.num_ues(); ++ui) {
-    const UeId u{static_cast<std::uint32_t>(ui)};
-    const auto bs = previous.bs_of(u);
-    if (!bs) continue;
-    if (!state.can_serve(u, *bs)) {
-      ++result.invalidated;
-      continue;
-    }
-    state.commit(u, *bs);
-    allocation.assign(u, *bs);
-    matched[ui] = true;
-  }
-  // dmra::hotpath end(carry-over)
-
-  // Phase 2: hysteresis — release kept UEs whose current deal has drifted
-  // far from their best alternative. (Release before re-matching so the
-  // freed capacity is visible to the rematch round.)
-  // dmra::hotpath begin(hysteresis)
-  if (config.hysteresis_margin < 1e17) {
-    for (std::size_t ui = 0; ui < scenario.num_ues(); ++ui) {
-      if (!matched[ui]) continue;
-      const UeId u{static_cast<std::uint32_t>(ui)};
-      const BsId current = *allocation.bs_of(u);
-      const double current_price = scenario.price(u, current);
-      double best_price = current_price;
-      // Candidate prices are precomputed per slot at scenario build; the
-      // carried BS may have left the candidate set, so it is priced above.
-      for (const double p : scenario.candidate_prices(u))
-        best_price = std::min(best_price, p);
-      if (current_price - best_price > config.hysteresis_margin) {
-        state.release(u, current);
-        allocation.assign_cloud(u);
-        matched[ui] = false;
-        ++result.released;
-      }
-    }
-  }
-  // dmra::hotpath end(hysteresis)
-  result.kept = allocation.num_served();
-  // Audit the carry-over + hysteresis state before the rematch: catches a
-  // kept assignment that is no longer feasible or an unpaired release.
-  if (DMRA_AUDIT_ACTIVE())
-    audit::report_state_round("core/incremental", 0, scenario, allocation, state);
-
-  obs::TraceRecorder* const rec = obs::recorder();
-  obs::FlightRecorder* const fr = obs::flight();
-  if (rec != nullptr || fr != nullptr) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kPhase;
-    e.label = "core/incremental:carry-over";
-    e.value = result.kept;
-    const auto publish = [&](obs::MetricsRegistry& m) {
-      m.add_counter("incremental.kept", result.kept);
-      m.add_counter("incremental.released", result.released);
-      m.add_counter("incremental.invalidated", result.invalidated);
-    };
-    if (rec != nullptr) {
-      publish(rec->metrics());
-      rec->record(e);
-    }
-    if (fr != nullptr) {
-      publish(fr->metrics());
-      fr->record(e);
-    }
-  }
-
-  // Phase 3: match everyone displaced or never-assigned.
-  result.rematch = solve_dmra_partial(scenario, config.dmra, state, allocation, matched);
-  result.allocation = allocation;
-  return result;
-}
-
 IncrementalAllocator::IncrementalAllocator(const Scenario& scenario,
-                                           IncrementalConfig config)
+                                           IncrementalConfig config,
+                                           const Allocator* allocator)
     : scenario_(&scenario),
-      config_(config),
+      dmra_(config.dmra),
+      allocator_(allocator),
       state_(scenario),
       allocation_(scenario.num_ues()),
       active_(scenario.num_ues(), false),
@@ -143,34 +57,9 @@ void IncrementalAllocator::mark_cloud(UeId u, bool on) {
 }
 
 std::optional<BsId> IncrementalAllocator::place(UeId u) {
-  // Alg. 1 with a single proposer: arg-min Eq. 17 preference over the
-  // serviceable candidates; an uncontended BS accepts any feasible
-  // proposal, so the first proposal round decides.
-  // dmra::hotpath begin(admit-one)
-  const UserEquipment& e = scenario_->ue(u);
-  const std::span<const BsId> cands = scenario_->candidates(u);
-  const std::span<const double> prices = scenario_->candidate_prices(u);
-  const std::span<const std::uint32_t> rrbs = scenario_->candidate_rrbs(u);
-  std::optional<BsId> best;
-  double best_v = 0.0;
-  std::uint32_t live_fu = 0;
-  for (std::size_t k = 0; k < cands.size(); ++k) {
-    const BsId i = cands[k];
-    const std::uint32_t rem_cru = state_.remaining_crus(i, e.service);
-    const std::uint32_t rem_rrb = state_.remaining_rrbs(i);
-    if (rem_cru < e.cru_demand || rem_rrb < rrbs[k]) continue;
-    ++live_fu;
-    const double v = prices[k] + config_.dmra.rho /
-                                     static_cast<double>(rem_cru + rem_rrb);
-    // Ties break toward the smaller BsId — candidates are ascending, so
-    // strict < keeps the earlier (smaller) one.
-    if (!best || v < best_v) {
-      best = i;
-      best_v = v;
-    }
-  }
-  // dmra::hotpath end(admit-one)
-
+  const std::optional<BsId> best = allocator_ != nullptr
+                                       ? allocator_->place(*scenario_, state_, u)
+                                       : dmra_.place(*scenario_, state_, u);
   obs::TraceRecorder* const rec = obs::recorder();
   if (!best) {
     // B_u exhausted (or empty): remote cloud, Alg. 1 line 10.
@@ -178,16 +67,15 @@ std::optional<BsId> IncrementalAllocator::place(UeId u) {
     mark_cloud(u, true);
     return std::nullopt;
   }
-  mark_cloud(u, false);
-  state_.commit(u, *best);
-  allocation_.assign(u, *best);
-  live_profit_ += scenario_->pair_profit(u, *best);
   if (rec != nullptr) {
+    // The proposal carries |F_u|: the candidates that could serve u.
+    std::uint32_t live_fu = 0;
+    for (const BsId i : scenario_->candidates(u)) live_fu += state_.can_serve(u, i) ? 1 : 0;
     obs::TraceEvent p;
     p.kind = obs::EventKind::kProposal;
     p.ue = u.value;
     p.bs = best->value;
-    p.service = e.service.value;
+    p.service = scenario_->ue(u).service.value;
     p.value = live_fu;
     rec->record(p);
     obs::TraceEvent d;
@@ -195,9 +83,13 @@ std::optional<BsId> IncrementalAllocator::place(UeId u) {
     d.flag = true;
     d.ue = u.value;
     d.bs = best->value;
-    d.service = e.service.value;
+    d.service = scenario_->ue(u).service.value;
     rec->record(d);
   }
+  mark_cloud(u, false);
+  state_.commit(u, *best);
+  allocation_.assign(u, *best);
+  live_profit_ += scenario_->pair_profit(u, *best);
   return best;
 }
 

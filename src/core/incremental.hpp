@@ -1,63 +1,29 @@
-// Incremental DMRA re-allocation — the paper's "continuously adjust the
-// resource allocation scheme" (§V/§VII) made operational.
-//
-// Full re-runs treat every step as a fresh problem and churn the
-// association (bench abl7). Incremental re-allocation instead:
-//   1. keeps every previous assignment that is still valid in the new
-//      scenario (UE still covered, BS still able to carry it),
-//   2. optionally releases kept UEs whose current BS has become much
-//      worse than their best alternative (price gap > hysteresis margin),
-//   3. runs the DMRA matching only over the displaced/new UEs against the
-//      remaining capacity.
-// Result: the same matching logic, a fraction of the handovers.
+// The persistent allocator process behind the churn engine
+// (sim/churn.hpp) — the paper's "continuously adjust the resource
+// allocation scheme" (§V/§VII) made operational: UEs are admitted,
+// removed and re-placed one at a time against a live ledger, by
+// whichever scheme's Allocator::place() rule the caller chose (DMRA's
+// Eq. 17 arg-min by default).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "core/solver.hpp"
+#include "core/dmra_allocator.hpp"
 #include "mec/allocation.hpp"
+#include "mec/allocator.hpp"
 #include "mec/resources.hpp"
 
 namespace dmra {
 
-/// Tuning for the keep/release/re-match split.
+/// Tuning for the default (DMRA) placement rule.
 struct IncrementalConfig {
-  /// Matching parameters for the partial re-run (step 3). The same config
-  /// shape the full solver and the decentralized runtime take, so sweeps
-  /// can share one DmraConfig across all three entry points.
+  /// Matching parameters: ρ of the Eq. 17 placement, and of the
+  /// from-scratch resolve baseline sim/churn runs beside it. The same
+  /// config shape the full solver and the decentralized runtime take.
   DmraConfig dmra;
-  /// A kept UE is released for re-matching only if its current price
-  /// exceeds its best candidate's price by more than this margin (per
-  /// CRU). infinity-like large values mean "never switch voluntarily";
-  /// 0 re-evaluates everyone whose BS is no longer their best.
-  double hysteresis_margin = 1e18;
 };
-
-/// Outcome of one incremental step, with the churn budget itemized:
-/// kept + released + invalidated + (new UEs) partitions the population.
-struct IncrementalResult {
-  Allocation allocation{0};    ///< the full new allocation (every UE)
-  std::size_t kept = 0;        ///< assignments carried over unchanged
-  std::size_t released = 0;    ///< kept-capable but released by hysteresis
-  std::size_t invalidated = 0; ///< previous assignments no longer feasible
-  /// The partial DMRA run over displaced UEs (solve_dmra_partial):
-  /// rematch.rounds / proposals_sent / rejections measure only the
-  /// incremental work, which is the point of the comparison in abl7.
-  DmraResult rematch;
-};
-
-/// Re-allocate `scenario` starting from `previous` (same UE ids; typically
-/// the same population at new positions). Deterministic for a fixed
-/// (scenario, previous, config) triple. `previous` may come from any
-/// allocator — the validity check in step 1 only asks whether the old
-/// assignment is feasible in the new scenario, not how it was produced.
-/// The same solve_dmra_partial building block also backs the
-/// fault-recovery repair pass in core/decentralized.cpp.
-IncrementalResult solve_incremental_dmra(const Scenario& scenario,
-                                         const Allocation& previous,
-                                         const IncrementalConfig& config = {});
 
 /// A persistent allocator process over one (immutable) scenario: the
 /// explicit remove/re-admit surface the serving driver (sim/churn.hpp)
@@ -70,9 +36,11 @@ IncrementalResult solve_incremental_dmra(const Scenario& scenario,
 /// cloud/-1 and contribute zero profit), so check_feasibility and the
 /// InvariantAuditor apply unchanged; activity is tracked here.
 ///
-/// admit() is Alg. 1 specialized to a single proposer: the UE proposes to
-/// its arg-min preference candidate (Eq. 17 against the live ledger) and
-/// an uncontended BS accepts any feasible proposal, so one proposal round
+/// Every decision (admit, reattempt) asks the scheme's place() rule and
+/// commits its answer. The default rule is DmraAllocator::place, Alg. 1
+/// specialized to a single proposer: the UE proposes to its arg-min
+/// preference candidate (Eq. 17 against the live ledger) and an
+/// uncontended BS accepts any feasible proposal, so one proposal round
 /// decides — provably the same outcome solve_dmra_partial computes for
 /// one unmatched UE (pinned by tests/core/incremental_test.cpp), at
 /// O(|candidates(u)|) per decision instead of O(|U|).
@@ -86,7 +54,10 @@ IncrementalResult solve_incremental_dmra(const Scenario& scenario,
 /// follows — and reports again once capacity_nominal() returns true.
 class IncrementalAllocator {
  public:
-  explicit IncrementalAllocator(const Scenario& scenario, IncrementalConfig config = {});
+  /// `allocator` (optional; must outlive this object) supplies the
+  /// place() rule; without one, DMRA's rule with `config.dmra`.
+  explicit IncrementalAllocator(const Scenario& scenario, IncrementalConfig config = {},
+                                const Allocator* allocator = nullptr);
 
   /// Admit inactive slot u. Returns the serving BS, or nullopt when no
   /// candidate can carry it (cloud-forwarded, still active).
@@ -146,14 +117,15 @@ class IncrementalAllocator {
   double live_profit() const { return live_profit_; }
 
  private:
-  /// The shared single-proposer decision: arg-min Eq. 17 over serviceable
-  /// candidates, commit on success, cloud otherwise.
+  /// The shared decision: the scheme's place() rule, commit on success,
+  /// cloud otherwise.
   std::optional<BsId> place(UeId u);
   /// Sets / clears slot u's bit in the cloud-dweller index.
   void mark_cloud(UeId u, bool on);
 
   const Scenario* scenario_;
-  IncrementalConfig config_;
+  DmraAllocator dmra_;           ///< the default rule
+  const Allocator* allocator_;   ///< the caller's rule, or null for dmra_
   ResourceState state_;
   Allocation allocation_;
   std::vector<bool> active_;

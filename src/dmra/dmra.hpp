@@ -38,7 +38,6 @@
 
 #include "market/adaptive_pricing.hpp"
 
-#include "mobility/handover.hpp"
 #include "mobility/models.hpp"
 
 #include "net/bus.hpp"
@@ -65,7 +64,6 @@
 #include "sim/faults.hpp"
 #include "sim/feasibility.hpp"
 #include "sim/metrics.hpp"
-#include "sim/online.hpp"
 #include "sim/qos.hpp"
 #include "sim/render.hpp"
 

@@ -95,7 +95,7 @@ struct ScenarioData {
 /// ids, out-of-range SP/service references, no SPs or services, or a
 /// pricing configuration violating Eq. 16 anywhere in the deployment).
 /// Zero-BS and zero-UE instances are legal degenerate cases (e.g. the
-/// residual scenario of a drained online run): candidate sets are simply
+/// slot universe of a churn run with no arrivals): candidate sets are simply
 /// empty and every UE is cloud-forwarded.
 class Scenario {
  public:

@@ -1,158 +1,50 @@
 #include "mobility/models.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/require.hpp"
 
 namespace dmra {
 
-namespace {
-
-class StaticModel final : public MobilityModel {
- public:
-  explicit StaticModel(std::vector<Point> initial) : positions_(std::move(initial)) {}
-  const std::vector<Point>& positions() const override { return positions_; }
-  void advance(double dt_s) override { DMRA_REQUIRE(dt_s >= 0.0); }
-
- private:
-  std::vector<Point> positions_;
-};
-
-class RandomWaypointModel final : public MobilityModel {
- public:
-  RandomWaypointModel(std::vector<Point> initial, const RandomWaypointConfig& config,
-                      Rng rng)
-      : config_(config), rng_(std::move(rng)), positions_(std::move(initial)) {
-    DMRA_REQUIRE(config_.speed_min_mps > 0.0);
-    DMRA_REQUIRE(config_.speed_min_mps <= config_.speed_max_mps);
-    DMRA_REQUIRE(config_.pause_s >= 0.0);
-    states_.resize(positions_.size());
-    for (std::size_t i = 0; i < positions_.size(); ++i) pick_waypoint(i);
-  }
-
-  const std::vector<Point>& positions() const override { return positions_; }
-
-  void advance(double dt_s) override {
-    DMRA_REQUIRE(dt_s >= 0.0);
-    for (std::size_t i = 0; i < positions_.size(); ++i) {
-      double remaining = dt_s;
-      while (remaining > 0.0) {
-        UeState& st = states_[i];
-        if (st.pausing > 0.0) {
-          const double pause = std::min(st.pausing, remaining);
-          st.pausing -= pause;
-          remaining -= pause;
-          continue;
-        }
-        const double dist = distance_m(positions_[i], st.destination);
-        const double reach = st.speed_mps * remaining;
-        if (reach >= dist) {
-          // Arrive, start the pause, then a new leg.
-          positions_[i] = st.destination;
-          remaining -= st.speed_mps > 0.0 ? dist / st.speed_mps : remaining;
-          st.pausing = config_.pause_s;
-          pick_waypoint(i);
-        } else {
-          const double frac = reach / dist;
-          positions_[i].x += (st.destination.x - positions_[i].x) * frac;
-          positions_[i].y += (st.destination.y - positions_[i].y) * frac;
-          remaining = 0.0;
-        }
-      }
-    }
-  }
-
- private:
-  struct UeState {
-    Point destination;
-    double speed_mps = 1.0;
-    double pausing = 0.0;
-  };
-
-  void pick_waypoint(std::size_t i) {
-    states_[i].destination = {rng_.uniform_real(config_.area.x0, config_.area.x1),
-                              rng_.uniform_real(config_.area.y0, config_.area.y1)};
-    states_[i].speed_mps = rng_.uniform_real(config_.speed_min_mps, config_.speed_max_mps);
-  }
-
-  RandomWaypointConfig config_;
-  Rng rng_;
-  std::vector<Point> positions_;
-  std::vector<UeState> states_;
-};
-
-class GaussMarkovModel final : public MobilityModel {
- public:
-  GaussMarkovModel(std::vector<Point> initial, const GaussMarkovConfig& config, Rng rng)
-      : config_(config), rng_(std::move(rng)), positions_(std::move(initial)) {
-    DMRA_REQUIRE(config_.alpha >= 0.0 && config_.alpha < 1.0);
-    DMRA_REQUIRE(config_.mean_speed_mps >= 0.0);
-    DMRA_REQUIRE(config_.speed_sigma_mps >= 0.0);
-    velocities_.resize(positions_.size());
-    for (auto& v : velocities_) v = draw_velocity();
-  }
-
-  const std::vector<Point>& positions() const override { return positions_; }
-
-  void advance(double dt_s) override {
-    DMRA_REQUIRE(dt_s >= 0.0);
-    const double a = config_.alpha;
-    const double noise_scale = std::sqrt(1.0 - a * a);
-    for (std::size_t i = 0; i < positions_.size(); ++i) {
-      // Correlated velocity update (component-wise Gauss–Markov).
-      const Point fresh = draw_velocity();
-      velocities_[i].x = a * velocities_[i].x + noise_scale * fresh.x;
-      velocities_[i].y = a * velocities_[i].y + noise_scale * fresh.y;
-      positions_[i].x += velocities_[i].x * dt_s;
-      positions_[i].y += velocities_[i].y * dt_s;
-      reflect(positions_[i].x, velocities_[i].x, config_.area.x0, config_.area.x1);
-      reflect(positions_[i].y, velocities_[i].y, config_.area.y0, config_.area.y1);
-    }
-  }
-
- private:
-  Point draw_velocity() {
-    // Isotropic direction; speed ~ N(mean, sigma) clamped at 0.
-    const double angle = rng_.uniform_real(0.0, 6.283185307179586);
-    const double speed =
-        std::max(0.0, rng_.gaussian(config_.mean_speed_mps, config_.speed_sigma_mps));
-    return {speed * std::cos(angle), speed * std::sin(angle)};
-  }
-
-  static void reflect(double& coord, double& velocity, double lo, double hi) {
-    if (coord < lo) {
-      coord = lo + (lo - coord);
-      velocity = -velocity;
-    } else if (coord > hi) {
-      coord = hi - (coord - hi);
-      velocity = -velocity;
-    }
-    // A huge step could overshoot twice; clamp as the backstop.
-    coord = std::clamp(coord, lo, hi);
-  }
-
-  GaussMarkovConfig config_;
-  Rng rng_;
-  std::vector<Point> positions_;
-  std::vector<Point> velocities_;  // component-wise velocity, m/s
-};
-
-}  // namespace
-
-std::unique_ptr<MobilityModel> make_random_waypoint(std::vector<Point> initial,
-                                                    const RandomWaypointConfig& config,
-                                                    Rng rng) {
-  return std::make_unique<RandomWaypointModel>(std::move(initial), config, std::move(rng));
+RandomWaypoint::RandomWaypoint(Point start, const RandomWaypointConfig& config, Rng rng)
+    : config_(config), rng_(std::move(rng)), position_(start) {
+  DMRA_REQUIRE(config_.speed_min_mps > 0.0);
+  DMRA_REQUIRE(config_.speed_min_mps <= config_.speed_max_mps);
+  DMRA_REQUIRE(config_.pause_s >= 0.0);
+  pick_waypoint();
 }
 
-std::unique_ptr<MobilityModel> make_gauss_markov(std::vector<Point> initial,
-                                                 const GaussMarkovConfig& config, Rng rng) {
-  return std::make_unique<GaussMarkovModel>(std::move(initial), config, std::move(rng));
+void RandomWaypoint::advance(double dt_s) {
+  DMRA_REQUIRE(dt_s >= 0.0);
+  double remaining = dt_s;
+  while (remaining > 0.0) {
+    if (pausing_ > 0.0) {
+      const double pause = std::min(pausing_, remaining);
+      pausing_ -= pause;
+      remaining -= pause;
+      continue;
+    }
+    const double dist = distance_m(position_, destination_);
+    const double reach = speed_mps_ * remaining;
+    if (reach >= dist) {
+      // Arrive, start the pause, then a new leg.
+      position_ = destination_;
+      remaining -= speed_mps_ > 0.0 ? dist / speed_mps_ : remaining;
+      pausing_ = config_.pause_s;
+      pick_waypoint();
+    } else {
+      const double frac = reach / dist;
+      position_.x += (destination_.x - position_.x) * frac;
+      position_.y += (destination_.y - position_.y) * frac;
+      remaining = 0.0;
+    }
+  }
 }
 
-std::unique_ptr<MobilityModel> make_static(std::vector<Point> initial) {
-  return std::make_unique<StaticModel>(std::move(initial));
+void RandomWaypoint::pick_waypoint() {
+  destination_ = {rng_.uniform_real(config_.area.x0, config_.area.x1),
+                  rng_.uniform_real(config_.area.y0, config_.area.y1)};
+  speed_mps_ = rng_.uniform_real(config_.speed_min_mps, config_.speed_max_mps);
 }
 
 }  // namespace dmra

@@ -1,38 +1,17 @@
-// UE mobility models.
+// UE mobility: the random-waypoint process behind the churn engine's
+// move events (sim/churn.hpp).
 //
 // The paper motivates DMRA with an environment that "changes over time"
-// (§V: the best association changes as UEs move); this module supplies
-// the movement processes, and mobility/handover.hpp re-runs an allocator
-// over the moving population to measure what that costs.
-//
-// Two classic models:
-//  * RandomWaypoint — pick a uniform destination, travel at a uniform
-//    speed, pause, repeat. The standard ad-hoc evaluation model.
-//  * GaussMarkov  — temporally-correlated velocity (tunable memory α),
-//    reflecting at the area boundary. Smooth, no teleport-like turns.
+// (§V: the best association changes as UEs move). Each moving UE of a
+// churn timeline owns one RandomWaypoint: pick a uniform destination,
+// travel at a uniform speed, pause, repeat — the standard ad-hoc
+// evaluation model.
 #pragma once
-
-#include <cstddef>
-#include <memory>
-#include <vector>
 
 #include "geometry/geometry.hpp"
 #include "util/rng.hpp"
 
 namespace dmra {
-
-/// Advances a population of positions through time. Implementations own
-/// all per-UE state (destinations, velocities, pause clocks).
-class MobilityModel {
- public:
-  virtual ~MobilityModel() = default;
-
-  /// Current positions (size fixed at construction).
-  virtual const std::vector<Point>& positions() const = 0;
-
-  /// Move everyone forward by dt seconds.
-  virtual void advance(double dt_s) = 0;
-};
 
 struct RandomWaypointConfig {
   Rect area{0.0, 0.0, 1200.0, 1200.0};
@@ -41,25 +20,25 @@ struct RandomWaypointConfig {
   double pause_s = 0.0;  ///< dwell time at each waypoint
 };
 
-/// Build a random-waypoint process over `initial` positions.
-std::unique_ptr<MobilityModel> make_random_waypoint(std::vector<Point> initial,
-                                                    const RandomWaypointConfig& config,
-                                                    Rng rng);
+/// One UE walking random waypoints. Deterministic per (start, config, rng).
+class RandomWaypoint {
+ public:
+  RandomWaypoint(Point start, const RandomWaypointConfig& config, Rng rng);
 
-struct GaussMarkovConfig {
-  Rect area{0.0, 0.0, 1200.0, 1200.0};
-  double mean_speed_mps = 5.0;
-  double speed_sigma_mps = 2.0;
-  /// Memory parameter α in [0, 1): 0 = fresh random velocity every step,
-  /// →1 = nearly constant velocity.
-  double alpha = 0.75;
+  Point position() const { return position_; }
+
+  /// Move forward by dt seconds.
+  void advance(double dt_s);
+
+ private:
+  void pick_waypoint();
+
+  RandomWaypointConfig config_;
+  Rng rng_;
+  Point position_;
+  Point destination_;
+  double speed_mps_ = 1.0;
+  double pausing_ = 0.0;
 };
-
-/// Build a Gauss–Markov process over `initial` positions.
-std::unique_ptr<MobilityModel> make_gauss_markov(std::vector<Point> initial,
-                                                 const GaussMarkovConfig& config, Rng rng);
-
-/// A model that never moves (control case for handover studies).
-std::unique_ptr<MobilityModel> make_static(std::vector<Point> initial);
 
 }  // namespace dmra

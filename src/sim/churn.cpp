@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <memory>
 #include <queue>
 #include <string>
 #include <utility>
@@ -65,7 +64,7 @@ struct UeGen {
   std::uint32_t slot = 0;
   double dwell_end = 0.0;
   double last_time = 0.0;  ///< simulation time of the model's position
-  std::unique_ptr<MobilityModel> model;
+  std::optional<RandomWaypoint> model;
   SpId sp{0};
   ServiceId service{0};
   std::uint32_t cru_demand = 0;
@@ -169,7 +168,7 @@ ChurnTimeline build_churn_timeline(const ChurnConfig& config) {
         if (config.mean_move_interval_s > 0.0) {
           std::string name = "ue";
           name += std::to_string(p.ue);
-          g.model = make_random_waypoint({pos}, waypoint, waypoint_root.child(name));
+          g.model.emplace(pos, waypoint, waypoint_root.child(name));
           g.last_time = p.time;
           const double move_at =
               p.time + exp_draw(move_rng, config.mean_move_interval_s);
@@ -191,7 +190,7 @@ ChurnTimeline build_churn_timeline(const ChurnConfig& config) {
         if (!g.alive) break;  // departed before its move fired
         g.model->advance(p.time - g.last_time);
         g.last_time = p.time;
-        const Point pos = g.model->positions()[0];
+        const Point pos = g.model->position();
         const std::uint32_t prev = g.slot;
         g.slot = new_slot(g, pos);
         events.push_back(
@@ -219,7 +218,8 @@ ChurnTimeline build_churn_timeline(const ChurnConfig& config) {
   return ChurnTimeline{Scenario(std::move(data)), std::move(events), next_ue};
 }
 
-ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) {
+ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config,
+                      const Allocator* allocator) {
   const Scenario& universe = timeline.universe;
   const RegionPartition partition = partition_regions(universe, config.regions);
 
@@ -231,7 +231,7 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
     if (r == RegionPartition::kCloudOnly) ++stats.cloud_only_slots;
   }
 
-  IncrementalAllocator alloc(universe, config.incremental);
+  IncrementalAllocator alloc(universe, config.incremental, allocator);
 
   // Flight recorder: sized for the whole slot universe up front so replay
   // never grows a per-agent counter. The lifecycle ops (crash_bs,
@@ -689,8 +689,8 @@ ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config) 
   return result;
 }
 
-ChurnResult run_churn(const ChurnConfig& config) {
-  return run_churn(build_churn_timeline(config), config);
+ChurnResult run_churn(const ChurnConfig& config, const Allocator* allocator) {
+  return run_churn(build_churn_timeline(config), config, allocator);
 }
 
 }  // namespace dmra

@@ -10,7 +10,10 @@
 //   * mobility re-associations (random-waypoint moves, src/mobility),
 // applied one event at a time through a persistent IncrementalAllocator
 // (core/incremental.hpp) with the InvariantAuditor live at the audit
-// seam, measuring what a service operator cares about: per-decision
+// seam. It is the repo's one dynamic engine: every scheme with an
+// Allocator::place() rule (DMRA by default, DCSP, NonCo) is served by the
+// same ledger, faults, readmit sweep, resolve baseline and event log,
+// measuring what a service operator cares about: per-decision
 // p50/p99/p999 latency, re-allocation churn, steady-state profit against
 // a periodic from-scratch re-solve, and recovery time after injected
 // faults (sim/faults plans interpreted on the event timeline).
@@ -208,12 +211,15 @@ struct ChurnResult {
   Allocation final_allocation{0};
 };
 
-/// Replay the config's timeline through a persistent IncrementalAllocator.
-/// Deterministic per config except for ChurnResult::latency.
-ChurnResult run_churn(const ChurnConfig& config);
+/// Replay the config's timeline through a persistent IncrementalAllocator
+/// whose decisions follow `allocator`'s place() rule (null: DMRA with
+/// config.incremental.dmra). The resolve baseline is always from-scratch
+/// DMRA. Deterministic per (config, scheme) except for ChurnResult::latency.
+ChurnResult run_churn(const ChurnConfig& config, const Allocator* allocator = nullptr);
 
 /// Convenience: run_churn over an already-built timeline (lets callers
 /// reuse one universe across probes; run_churn builds then delegates).
-ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config);
+ChurnResult run_churn(const ChurnTimeline& timeline, const ChurnConfig& config,
+                      const Allocator* allocator = nullptr);
 
 }  // namespace dmra

@@ -69,6 +69,12 @@ std::int64_t Cli::get_int(const std::string& name) const {
   return r;
 }
 
+std::size_t Cli::get_count(const std::string& name) const {
+  const std::int64_t r = get_int(name);
+  DMRA_REQUIRE_MSG(r >= 0, "flag --" + name + " must not be negative: " + lookup(name).value);
+  return static_cast<std::size_t>(r);
+}
+
 double Cli::get_double(const std::string& name) const {
   const std::string& v = lookup(name).value;
   char* end = nullptr;

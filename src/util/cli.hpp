@@ -4,6 +4,7 @@
 // so typos don't silently run the default experiment.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -27,6 +28,9 @@ class Cli {
 
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// A non-negative int (sizes, counts, horizons); a negative value is a
+  /// ContractViolation naming the flag.
+  std::size_t get_count(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 

@@ -19,7 +19,6 @@
 #include "core/dmra_allocator.hpp"
 #include "core/incremental.hpp"
 #include "mec/resources.hpp"
-#include "sim/online.hpp"
 #include "workload/generator.hpp"
 
 namespace dmra {
@@ -245,24 +244,19 @@ TEST(Auditor, IncrementalRunsCleanUnderAudit) {
   ScenarioConfig cfg;
   cfg.num_ues = 30;
   const Scenario s = generate_scenario(cfg, 11);
-  const Allocation first = DmraAllocator().allocate(s);
   InvariantAuditor auditor;
   audit::ScopedAuditObserver guard(&auditor);
-  const IncrementalResult r = solve_incremental_dmra(s, first);
-  EXPECT_TRUE(check_feasibility(s, r.allocation).ok);
-  EXPECT_TRUE(auditor.findings().ok);
-}
-
-TEST(Auditor, OnlineSimulatorRunsCleanUnderAudit) {
-  OnlineConfig cfg;
-  cfg.scenario.num_ues = 20;
-  cfg.epochs = 6;
-  const DmraAllocator allocator;
-  InvariantAuditor auditor;
-  audit::ScopedAuditObserver guard(&auditor);
-  OnlineSimulator sim(cfg, allocator);
-  const OnlineResult result = sim.run();
-  EXPECT_EQ(result.epochs.size(), 6u);
+  IncrementalAllocator inc(s);
+  for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
+    inc.admit(UeId{static_cast<std::uint32_t>(ui)});
+    inc.audit_round(0);
+  }
+  for (std::size_t ui = 0; ui < s.num_ues(); ui += 2) {
+    inc.remove(UeId{static_cast<std::uint32_t>(ui)});
+    inc.audit_round(0);
+  }
+  EXPECT_TRUE(check_feasibility(s, inc.allocation()).ok);
+  EXPECT_EQ(auditor.rounds_audited(), s.num_ues() + s.num_ues() / 2);
   EXPECT_TRUE(auditor.findings().ok);
 }
 

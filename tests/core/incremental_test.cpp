@@ -8,7 +8,7 @@
 
 #include "../test_util.hpp"
 #include "core/dmra_allocator.hpp"
-#include "mobility/handover.hpp"
+#include "mobility/models.hpp"
 #include "sim/feasibility.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -17,13 +17,26 @@
 namespace dmra {
 namespace {
 
-Scenario moved_copy(const Scenario& base, double dx) {
+// ---- Incremental re-allocation of a moving population ----------------------
+// The churn engine's layout: one scenario slot per (UE, position epoch). A
+// move retires the old slot and admits the new one against the live
+// ledger; the full-rerun policy it is compared with re-solves every epoch.
+
+/// `base`'s population at every position epoch: slot e·n + k is UE k at
+/// epochs[e][k].
+Scenario epoch_universe(const Scenario& base, const std::vector<std::vector<Point>>& epochs) {
   ScenarioData data;
   data.num_services = base.num_services();
   data.sps.assign(base.sps().begin(), base.sps().end());
   data.bss.assign(base.bss().begin(), base.bss().end());
-  data.ues.assign(base.ues().begin(), base.ues().end());
-  for (auto& ue : data.ues) ue.position.x += dx;
+  for (const std::vector<Point>& positions : epochs) {
+    for (std::size_t k = 0; k < positions.size(); ++k) {
+      UserEquipment e = base.ue(UeId{static_cast<std::uint32_t>(k)});
+      e.id = UeId{static_cast<std::uint32_t>(data.ues.size())};
+      e.position = positions[k];
+      data.ues.push_back(e);
+    }
+  }
   data.channel = base.channel();
   data.ofdma = base.ofdma();
   data.pricing = base.pricing();
@@ -31,51 +44,81 @@ Scenario moved_copy(const Scenario& base, double dx) {
   return Scenario(std::move(data));
 }
 
+struct PolicyOutcome {
+  std::size_t live_handovers = 0;   ///< served before and after, other BS
+  std::size_t rerun_handovers = 0;
+  double live_profit = 0.0;         ///< at the last epoch
+  double rerun_profit = 0.0;
+};
+
+/// Live incremental moves vs a DMRA re-solve per epoch, over the same
+/// epochs. The live allocation is checked feasible after every epoch.
+PolicyOutcome compare_policies(const Scenario& base,
+                               const std::vector<std::vector<Point>>& epochs) {
+  const std::size_t n = base.num_ues();
+  const Scenario universe = epoch_universe(base, epochs);
+  PolicyOutcome out;
+  IncrementalAllocator live(universe);
+  for (std::size_t k = 0; k < n; ++k) live.admit(UeId{static_cast<std::uint32_t>(k)});
+  Allocation rerun_prev = DmraAllocator().allocate(epoch_universe(base, {epochs[0]}));
+  for (std::size_t e = 1; e < epochs.size(); ++e) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const UeId from{static_cast<std::uint32_t>((e - 1) * n + k)};
+      const UeId to{static_cast<std::uint32_t>(e * n + k)};
+      const auto was = live.allocation().bs_of(from);
+      live.remove(from);
+      const auto now = live.admit(to);
+      if (was && now && *was != *now) ++out.live_handovers;
+    }
+    const FeasibilityReport report = check_feasibility(universe, live.allocation());
+    EXPECT_TRUE(report.ok) << (report.violations.empty() ? "" : report.violations[0]);
+    const Scenario step = epoch_universe(base, {epochs[e]});
+    const Allocation rerun = DmraAllocator().allocate(step);
+    for (std::size_t k = 0; k < n; ++k) {
+      const UeId u{static_cast<std::uint32_t>(k)};
+      const auto a = rerun_prev.bs_of(u);
+      const auto b = rerun.bs_of(u);
+      if (a && b && *a != *b) ++out.rerun_handovers;
+    }
+    rerun_prev = rerun;
+    out.rerun_profit = total_profit(step, rerun);
+  }
+  out.live_profit = live.live_profit();
+  return out;
+}
+
 TEST(Incremental, UnchangedScenarioKeepsEverything) {
+  // With nobody leaving, capacity only shrinks: a readmit pass over the
+  // cloud dwellers changes nothing.
   ScenarioConfig cfg;
   cfg.num_ues = 300;
   const Scenario s = generate_scenario(cfg, 7);
-  const Allocation previous = DmraAllocator().allocate(s);
-  const IncrementalResult r = solve_incremental_dmra(s, previous);
-  EXPECT_EQ(r.allocation, previous);
-  EXPECT_EQ(r.kept, previous.num_served());
-  EXPECT_EQ(r.invalidated, 0u);
-  EXPECT_EQ(r.released, 0u);
+  IncrementalAllocator inc(s);
+  for (std::size_t ui = 0; ui < s.num_ues(); ++ui) inc.admit(UeId{static_cast<std::uint32_t>(ui)});
+  const Allocation before = inc.allocation();
+  for (std::size_t u = inc.next_cloud_dweller(0); u < s.num_ues(); u = inc.next_cloud_dweller(u + 1))
+    EXPECT_FALSE(inc.reattempt(UeId{static_cast<std::uint32_t>(u)}));
+  EXPECT_EQ(inc.allocation(), before);
+  EXPECT_TRUE(check_feasibility(s, inc.allocation()).ok);
 }
 
 TEST(Incremental, StartingFromScratchEqualsPlainDmra) {
+  // The default rule is DmraAllocator::place with config.dmra.
   ScenarioConfig cfg;
   cfg.num_ues = 250;
   const Scenario s = generate_scenario(cfg, 9);
-  const IncrementalResult r = solve_incremental_dmra(s, Allocation(s.num_ues()));
-  EXPECT_EQ(r.allocation, solve_dmra(s).allocation);
-  EXPECT_EQ(r.kept, 0u);
-}
-
-TEST(Incremental, SmallMovesProduceFewerHandoversThanRerun) {
-  ScenarioConfig cfg;
-  cfg.num_ues = 500;
-  const Scenario before = generate_scenario(cfg, 11);
-  const Allocation prev = DmraAllocator().allocate(before);
-  const Scenario after = moved_copy(before, 15.0);  // everyone drifts 15 m
-
-  const Allocation rerun = DmraAllocator().allocate(after);
-  const IncrementalResult inc = solve_incremental_dmra(after, prev);
-
-  auto handovers = [&](const Allocation& now) {
-    std::size_t n = 0;
-    for (std::size_t ui = 0; ui < after.num_ues(); ++ui) {
+  for (const double rho : {0.0, 100.0, 400.0}) {
+    IncrementalConfig ic;
+    ic.dmra.rho = rho;
+    const DmraAllocator plain(ic.dmra);
+    IncrementalAllocator by_default(s, ic);
+    IncrementalAllocator by_scheme(s, {}, &plain);
+    for (std::size_t ui = 0; ui < s.num_ues(); ++ui) {
       const UeId u{static_cast<std::uint32_t>(ui)};
-      const auto a = prev.bs_of(u);
-      const auto b = now.bs_of(u);
-      if (a && b && *a != *b) ++n;
+      ASSERT_EQ(by_default.admit(u), by_scheme.admit(u)) << "rho " << rho << " ue " << ui;
     }
-    return n;
-  };
-  EXPECT_LT(handovers(inc.allocation), handovers(rerun));
-  EXPECT_TRUE(check_feasibility(after, inc.allocation).ok);
-  // Staying costs little profit relative to the full re-optimization.
-  EXPECT_GT(total_profit(after, inc.allocation), 0.9 * total_profit(after, rerun));
+    EXPECT_EQ(by_default.live_profit(), by_scheme.live_profit());
+  }
 }
 
 TEST(Incremental, InvalidatedAssignmentsAreRematched) {
@@ -84,78 +127,48 @@ TEST(Incremental, InvalidatedAssignmentsAreRematched) {
   ms.add_bs(sp, {0, 0});
   ms.add_bs(sp, {400, 0});
   ms.add_ue(sp, {100, 0}, ServiceId{0});
-  const Scenario before = ms.build();
-  Allocation prev(1);
-  prev.assign(UeId{0}, BsId{0});
-  // The UE walks out of BS 0's coverage but stays in BS 1's.
-  const Scenario after = moved_copy(before, 450.0);  // at x=550: d0=550, d1=150
-  const IncrementalResult r = solve_incremental_dmra(after, prev);
-  EXPECT_EQ(r.invalidated, 1u);
-  EXPECT_EQ(r.allocation.bs_of(UeId{0}), (BsId{1}));
-}
-
-TEST(Incremental, HysteresisReleasesDriftedUes) {
-  test::MiniScenario ms;
-  const SpId sp = ms.add_sp();
-  ms.add_bs(sp, {0, 0});
-  ms.add_bs(sp, {480, 0});
-  ms.add_ue(sp, {40, 0}, ServiceId{0});
-  const Scenario before = ms.build();
-  Allocation prev(1);
-  prev.assign(UeId{0}, BsId{0});
-  // Drift close to BS 1: current price (d=400) far above best (d=80).
-  const Scenario after = moved_copy(before, 360.0);
-
-  // Without hysteresis (default): sticky.
-  const IncrementalResult sticky = solve_incremental_dmra(after, prev);
-  EXPECT_EQ(sticky.allocation.bs_of(UeId{0}), (BsId{0}));
-
-  // With a modest margin the drift exceeds it → switch.
-  IncrementalConfig cfg;
-  cfg.hysteresis_margin = 0.5;  // price gap is σ·Δd·b = 0.003·360 ≈ 1.08
-  const IncrementalResult agile = solve_incremental_dmra(after, prev, cfg);
-  EXPECT_EQ(agile.released, 1u);
-  EXPECT_EQ(agile.allocation.bs_of(UeId{0}), (BsId{1}));
+  ms.add_ue(sp, {550, 0}, ServiceId{0});  // the same UE after walking out of BS 0
+  const Scenario s = ms.build();
+  IncrementalAllocator inc(s);
+  EXPECT_EQ(inc.admit(UeId{0}), (BsId{0}));
+  inc.remove(UeId{0});
+  EXPECT_EQ(inc.admit(UeId{1}), (BsId{1}));
 }
 
 TEST(Incremental, FeasibleAcrossManySteps) {
   ScenarioConfig cfg;
   cfg.num_ues = 300;
-  Scenario scenario = generate_scenario(cfg, 13);
-  Allocation alloc = DmraAllocator().allocate(scenario);
-  for (int step = 1; step <= 5; ++step) {
-    scenario = moved_copy(scenario, 25.0);
-    const IncrementalResult r = solve_incremental_dmra(scenario, alloc);
-    const FeasibilityReport report = check_feasibility(scenario, r.allocation);
-    EXPECT_TRUE(report.ok) << (report.violations.empty() ? "" : report.violations[0]);
-    alloc = r.allocation;
-  }
+  const Scenario base = generate_scenario(cfg, 13);
+  std::vector<std::vector<Point>> epochs(6);  // everyone drifts 25 m per step
+  for (std::size_t e = 0; e < epochs.size(); ++e)
+    for (const UserEquipment& ue : base.ues())
+      epochs[e].push_back({ue.position.x + 25.0 * static_cast<double>(e), ue.position.y});
+  const PolicyOutcome r = compare_policies(base, epochs);
+  EXPECT_GT(r.live_profit, 0.0);
 }
 
 TEST(Incremental, HandoverStudyPolicyReducesChurn) {
-  HandoverConfig cfg;
-  cfg.scenario.num_ues = 300;
-  cfg.mobility = MobilityKind::kRandomWaypoint;
-  cfg.waypoint.speed_min_mps = 8.0;
-  cfg.waypoint.speed_max_mps = 16.0;
-  cfg.steps = 6;
-  cfg.step_duration_s = 2.0;
-  cfg.seed = 3;
-
-  const DmraAllocator algo;
-  const HandoverResult rerun = run_handover_study(cfg, algo);
-  cfg.policy = ReallocationPolicy::kIncremental;
-  const HandoverResult incremental = run_handover_study(cfg, algo);
-
-  EXPECT_LT(incremental.handover_rate, rerun.handover_rate);
-  EXPECT_GT(incremental.mean_profit, 0.85 * rerun.mean_profit);
-}
-
-TEST(Incremental, SizeMismatchIsContractViolation) {
+  // Random-waypoint walkers, six 2 s steps at 8–16 m/s.
   ScenarioConfig cfg;
-  cfg.num_ues = 10;
-  const Scenario s = generate_scenario(cfg, 1);
-  EXPECT_THROW(solve_incremental_dmra(s, Allocation(9)), ContractViolation);
+  cfg.num_ues = 300;
+  const Scenario base = generate_scenario(cfg, 3);
+  RandomWaypointConfig rw;
+  rw.area = cfg.area();
+  rw.speed_min_mps = 8.0;
+  rw.speed_max_mps = 16.0;
+  std::vector<RandomWaypoint> walkers;
+  for (const UserEquipment& ue : base.ues())
+    walkers.emplace_back(ue.position, rw, Rng("walk", ue.id.value));
+  std::vector<std::vector<Point>> epochs(7);
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    for (RandomWaypoint& w : walkers) {
+      if (e > 0) w.advance(2.0);
+      epochs[e].push_back(w.position());
+    }
+  }
+  const PolicyOutcome r = compare_policies(base, epochs);
+  EXPECT_LT(r.live_handovers, r.rerun_handovers);
+  EXPECT_GT(r.live_profit, 0.85 * r.rerun_profit);
 }
 
 // ---- IncrementalAllocator: the persistent admit/remove surface -------------

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "baselines/dcsp.hpp"
+#include "baselines/nonco.hpp"
+#include "check/invariant_auditor.hpp"
 #include "core/dmra_allocator.hpp"
-#include "mobility/handover.hpp"
+#include "mec/audit.hpp"
 #include "mobility/models.hpp"
+#include "sim/churn.hpp"
 #include "sim/feasibility.hpp"
 #include "util/require.hpp"
 
@@ -13,33 +18,20 @@ namespace {
 
 const Rect kArea{0, 0, 1200, 1200};
 
-std::vector<Point> grid_population(std::size_t n) {
-  std::vector<Point> pts;
-  for (std::size_t i = 0; i < n; ++i)
-    pts.push_back({100.0 + 10.0 * static_cast<double>(i % 30),
-                   100.0 + 10.0 * static_cast<double>(i / 30)});
-  return pts;
-}
-
-TEST(StaticModel, NeverMoves) {
-  auto model = make_static(grid_population(10));
-  const std::vector<Point> before = model->positions();
-  model->advance(100.0);
-  EXPECT_EQ(model->positions(), before);
+Point grid_point(std::size_t i) {
+  return {100.0 + 10.0 * static_cast<double>(i % 30),
+          100.0 + 10.0 * static_cast<double>(i / 30)};
 }
 
 TEST(RandomWaypoint, MovesEveryoneWithinBounds) {
   RandomWaypointConfig cfg;
   cfg.area = kArea;
-  auto model = make_random_waypoint(grid_population(50), cfg, Rng("rw", 1));
-  const std::vector<Point> before = model->positions();
-  model->advance(10.0);
-  std::size_t moved = 0;
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    if (!(model->positions()[i] == before[i])) ++moved;
-    EXPECT_TRUE(kArea.contains(model->positions()[i]));
+  for (std::size_t i = 0; i < 50; ++i) {
+    RandomWaypoint walker(grid_point(i), cfg, Rng("rw", i));
+    walker.advance(10.0);
+    EXPECT_FALSE(walker.position() == grid_point(i));  // no pause → in motion
+    EXPECT_TRUE(kArea.contains(walker.position()));
   }
-  EXPECT_EQ(moved, before.size());  // no pause → everyone in motion
 }
 
 TEST(RandomWaypoint, SpeedBoundsRespected) {
@@ -47,15 +39,14 @@ TEST(RandomWaypoint, SpeedBoundsRespected) {
   cfg.area = kArea;
   cfg.speed_min_mps = 2.0;
   cfg.speed_max_mps = 4.0;
-  auto model = make_random_waypoint(grid_population(40), cfg, Rng("rw", 2));
   const double dt = 1.0;
-  for (int step = 0; step < 20; ++step) {
-    const std::vector<Point> before = model->positions();
-    model->advance(dt);
-    for (std::size_t i = 0; i < before.size(); ++i) {
-      const double moved = distance_m(before[i], model->positions()[i]);
+  for (std::size_t i = 0; i < 40; ++i) {
+    RandomWaypoint walker(grid_point(i), cfg, Rng("rw", 100 + i));
+    for (int step = 0; step < 20; ++step) {
+      const Point before = walker.position();
+      walker.advance(dt);
       // Waypoint arrivals + re-targeting can shorten a step, never extend it.
-      EXPECT_LE(moved, cfg.speed_max_mps * dt + 1e-9);
+      EXPECT_LE(distance_m(before, walker.position()), cfg.speed_max_mps * dt + 1e-9);
     }
   }
 }
@@ -64,150 +55,148 @@ TEST(RandomWaypoint, PauseHoldsPosition) {
   RandomWaypointConfig cfg;
   cfg.area = Rect{0, 0, 10, 10};  // tiny area → waypoints reached instantly
   cfg.pause_s = 1e9;              // then pause ~forever
-  auto model = make_random_waypoint({{5, 5}}, cfg, Rng("rw", 3));
-  model->advance(100.0);  // reaches the first waypoint and parks
-  const Point parked = model->positions()[0];
-  model->advance(100.0);
-  EXPECT_EQ(model->positions()[0], parked);
+  RandomWaypoint walker({5, 5}, cfg, Rng("rw", 3));
+  walker.advance(100.0);  // reaches the first waypoint and parks
+  const Point parked = walker.position();
+  walker.advance(100.0);
+  EXPECT_EQ(walker.position(), parked);
 }
 
 TEST(RandomWaypoint, DeterministicPerSeed) {
   RandomWaypointConfig cfg;
   cfg.area = kArea;
-  auto a = make_random_waypoint(grid_population(20), cfg, Rng("rw", 7));
-  auto b = make_random_waypoint(grid_population(20), cfg, Rng("rw", 7));
-  a->advance(5.0);
-  b->advance(5.0);
-  EXPECT_EQ(a->positions(), b->positions());
-}
-
-TEST(GaussMarkov, StaysInBoundsUnderLongRuns) {
-  GaussMarkovConfig cfg;
-  cfg.area = kArea;
-  cfg.mean_speed_mps = 20.0;
-  auto model = make_gauss_markov(grid_population(30), cfg, Rng("gm", 1));
-  for (int step = 0; step < 200; ++step) {
-    model->advance(1.0);
-    for (const Point& p : model->positions()) EXPECT_TRUE(kArea.contains(p));
-  }
-}
-
-TEST(GaussMarkov, HighAlphaMeansSmootherPaths) {
-  // With α → 1 consecutive displacement vectors stay correlated; with
-  // α = 0 they are fresh draws. Compare mean turn angle proxies.
-  auto turn_proxy = [](double alpha) {
-    GaussMarkovConfig cfg;
-    cfg.area = Rect{0, 0, 100000, 100000};  // avoid reflections
-    cfg.alpha = alpha;
-    std::vector<Point> start(40, Point{50000, 50000});
-    auto model = make_gauss_markov(start, cfg, Rng("gm", 5));
-    std::vector<Point> prev = model->positions();
-    model->advance(1.0);
-    std::vector<Point> mid = model->positions();
-    model->advance(1.0);
-    std::vector<Point> end = model->positions();
-    double dot_sum = 0.0;
-    for (std::size_t i = 0; i < prev.size(); ++i) {
-      const Point v1{mid[i].x - prev[i].x, mid[i].y - prev[i].y};
-      const Point v2{end[i].x - mid[i].x, end[i].y - mid[i].y};
-      const double n1 = std::hypot(v1.x, v1.y);
-      const double n2 = std::hypot(v2.x, v2.y);
-      if (n1 > 0 && n2 > 0) dot_sum += (v1.x * v2.x + v1.y * v2.y) / (n1 * n2);
-    }
-    return dot_sum / static_cast<double>(prev.size());
-  };
-  EXPECT_GT(turn_proxy(0.95), turn_proxy(0.0));
+  RandomWaypoint a(grid_point(0), cfg, Rng("rw", 7));
+  RandomWaypoint b(grid_point(0), cfg, Rng("rw", 7));
+  a.advance(5.0);
+  b.advance(5.0);
+  EXPECT_EQ(a.position(), b.position());
 }
 
 TEST(Models, Contracts) {
   RandomWaypointConfig bad;
   bad.speed_min_mps = 0.0;
-  EXPECT_THROW(make_random_waypoint(grid_population(1), bad, Rng("x", 1)),
-               ContractViolation);
-  GaussMarkovConfig gm;
-  gm.alpha = 1.0;
-  EXPECT_THROW(make_gauss_markov(grid_population(1), gm, Rng("x", 1)), ContractViolation);
-  auto model = make_static(grid_population(1));
-  EXPECT_THROW(model->advance(-1.0), ContractViolation);
+  EXPECT_THROW(RandomWaypoint(grid_point(0), bad, Rng("x", 1)), ContractViolation);
+  bad.speed_min_mps = 5.0;
+  bad.speed_max_mps = 4.0;
+  EXPECT_THROW(RandomWaypoint(grid_point(0), bad, Rng("x", 1)), ContractViolation);
+  RandomWaypoint walker(grid_point(0), RandomWaypointConfig{}, Rng("x", 1));
+  EXPECT_THROW(walker.advance(-1.0), ContractViolation);
 }
 
-// ---- handover study -----------------------------------------------------------
+// ---- handover under the churn engine ----------------------------------------
+// Moving UEs re-associate through sim/churn's move events: the old slot
+// retires and the new position is placed against the live ledger.
 
-HandoverConfig study_config(MobilityKind kind, std::size_t ues = 250) {
-  HandoverConfig cfg;
-  cfg.scenario.num_ues = ues;
-  cfg.mobility = kind;
-  cfg.steps = 6;
-  cfg.step_duration_s = 2.0;
+/// A 250-UE steady state in which every UE moves every 2 s on average.
+ChurnConfig study_config(double speed_min, double speed_max) {
+  ChurnConfig cfg;
+  cfg.mean_dwell_s = 60.0;
+  cfg.arrival_rate_hz = 250.0 / cfg.mean_dwell_s;
+  cfg.prefill = 250;
+  cfg.horizon_events = 250 + 1500;
+  cfg.mean_move_interval_s = 2.0;
+  cfg.waypoint.speed_min_mps = speed_min;
+  cfg.waypoint.speed_max_mps = speed_max;
   cfg.seed = 3;
   return cfg;
 }
 
-TEST(Handover, StaticPopulationNeverHandsOver) {
-  const DmraAllocator algo;
-  const HandoverResult r = run_handover_study(study_config(MobilityKind::kStatic), algo);
-  for (const HandoverStepStats& s : r.steps) {
-    EXPECT_EQ(s.handovers, 0u);
-    EXPECT_EQ(s.edge_to_cloud, 0u);
-    EXPECT_EQ(s.cloud_to_edge, 0u);
-    EXPECT_DOUBLE_EQ(s.mean_displacement_m, 0.0);
+const DmraAllocator kDmra;
+const DcspAllocator kDcsp;
+const NonCoAllocator kNonCo;
+const Allocator* const kSchemes[] = {nullptr, &kDmra, &kDcsp, &kNonCo};
+
+std::string scheme_name(const Allocator* scheme) {
+  return scheme == nullptr ? "default" : scheme->name();
+}
+
+// The static model: with moves off, every UE keeps its one slot.
+TEST(StaticModel, NeverMoves) {
+  ChurnConfig cfg = study_config(5.0, 15.0);
+  cfg.mean_move_interval_s = 0.0;
+  const ChurnTimeline timeline = build_churn_timeline(cfg);
+  std::size_t arrivals = 0;
+  for (const ChurnEvent& e : timeline.events) {
+    EXPECT_NE(e.kind, ChurnEventKind::kMove);
+    if (e.kind == ChurnEventKind::kArrival) ++arrivals;
   }
-  EXPECT_DOUBLE_EQ(r.handover_rate, 0.0);
+  EXPECT_EQ(timeline.universe.num_ues(), arrivals);
+}
+
+// The event-log names of the three churn event kinds.
+TEST(Handover, KindNames) {
+  EXPECT_EQ(to_string(ChurnEventKind::kArrival), "arrival");
+  EXPECT_EQ(to_string(ChurnEventKind::kDeparture), "departure");
+  EXPECT_EQ(to_string(ChurnEventKind::kMove), "move");
+}
+
+TEST(Handover, StaticPopulationNeverHandsOver) {
+  ChurnConfig cfg = study_config(5.0, 15.0);
+  cfg.mean_move_interval_s = 0.0;
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const ChurnStats s = run_churn(cfg, scheme).stats;
+    EXPECT_EQ(s.moves, 0u);
+    EXPECT_EQ(s.reassociations, 0u);
+    EXPECT_EQ(s.cross_region_moves, 0u);
+    EXPECT_DOUBLE_EQ(s.churn_rate(), 0.0);
+  }
 }
 
 TEST(Handover, MovingPopulationChurns) {
-  const DmraAllocator algo;
-  HandoverConfig cfg = study_config(MobilityKind::kRandomWaypoint);
-  cfg.waypoint.speed_min_mps = 10.0;
-  cfg.waypoint.speed_max_mps = 20.0;
-  const HandoverResult r = run_handover_study(cfg, algo);
-  std::uint64_t handovers = 0;
-  for (const HandoverStepStats& s : r.steps) {
-    handovers += s.handovers;
-    EXPECT_GT(s.mean_displacement_m, 0.0);
+  const ChurnConfig cfg = study_config(10.0, 20.0);
+  const ChurnTimeline timeline = build_churn_timeline(cfg);
+  // Every move hands the UE a new position.
+  for (const ChurnEvent& e : timeline.events) {
+    if (e.kind != ChurnEventKind::kMove) continue;
+    EXPECT_GT(distance_m(timeline.universe.ue(UeId{e.prev_slot}).position,
+                         timeline.universe.ue(UeId{e.slot}).position),
+              0.0);
   }
-  EXPECT_GT(handovers, 0u);
-  EXPECT_GT(r.handover_rate, 0.0);
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const ChurnStats s = run_churn(timeline, cfg, scheme).stats;
+    EXPECT_GT(s.moves, 0u);
+    EXPECT_GT(s.reassociations, 0u);
+    EXPECT_GT(s.churn_rate(), 0.0);
+  }
 }
 
 TEST(Handover, FasterMovementMeansMoreChurn) {
-  const DmraAllocator algo;
-  auto rate_at = [&](double vmin, double vmax) {
-    HandoverConfig cfg = study_config(MobilityKind::kRandomWaypoint);
-    cfg.steps = 8;
-    cfg.waypoint.speed_min_mps = vmin;
-    cfg.waypoint.speed_max_mps = vmax;
-    return run_handover_study(cfg, algo).handover_rate;
-  };
-  EXPECT_LT(rate_at(0.5, 1.0), rate_at(20.0, 30.0));
-}
-
-TEST(Handover, EveryStepAllocationIsFeasible) {
-  // The study rebuilds scenarios internally; spot-check by reproducing
-  // one step's scenario and allocation.
-  const DmraAllocator algo;
-  const HandoverConfig cfg = study_config(MobilityKind::kGaussMarkov, 150);
-  const HandoverResult r = run_handover_study(cfg, algo);
-  ASSERT_EQ(r.steps.size(), cfg.steps);
-  for (const HandoverStepStats& s : r.steps) EXPECT_GT(s.profit, 0.0);
-}
-
-TEST(Handover, Deterministic) {
-  const DmraAllocator algo;
-  const HandoverConfig cfg = study_config(MobilityKind::kGaussMarkov, 120);
-  const HandoverResult a = run_handover_study(cfg, algo);
-  const HandoverResult b = run_handover_study(cfg, algo);
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (std::size_t i = 0; i < a.steps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.steps[i].profit, b.steps[i].profit);
-    EXPECT_EQ(a.steps[i].handovers, b.steps[i].handovers);
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const auto handovers = [&](double vmin, double vmax) {
+      return run_churn(study_config(vmin, vmax), scheme).stats.reassociations;
+    };
+    EXPECT_LT(handovers(0.5, 1.0), handovers(20.0, 30.0));
   }
 }
 
-TEST(Handover, KindNames) {
-  EXPECT_STREQ(mobility_kind_name(MobilityKind::kStatic), "static");
-  EXPECT_STREQ(mobility_kind_name(MobilityKind::kRandomWaypoint), "random-waypoint");
-  EXPECT_STREQ(mobility_kind_name(MobilityKind::kGaussMarkov), "gauss-markov");
+// The auditor re-validates feasibility and the ledger after every event.
+TEST(Handover, EveryStepAllocationIsFeasible) {
+  const ChurnConfig cfg = study_config(5.0, 15.0);
+  const ChurnTimeline timeline = build_churn_timeline(cfg);
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    check::InvariantAuditor auditor;
+    audit::ScopedAuditObserver install(&auditor);
+    ChurnResult r;
+    EXPECT_NO_THROW(r = run_churn(timeline, cfg, scheme));
+    EXPECT_TRUE(auditor.findings().ok);
+    EXPECT_TRUE(check_feasibility(timeline.universe, r.final_allocation).ok);
+    EXPECT_GT(r.stats.final_profit, 0.0);
+  }
+}
+
+TEST(Handover, Deterministic) {
+  const ChurnConfig cfg = study_config(5.0, 15.0);
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const ChurnResult a = run_churn(cfg, scheme);
+    const ChurnResult b = run_churn(cfg, scheme);
+    EXPECT_EQ(a.event_log, b.event_log);
+    EXPECT_EQ(a.stats.reassociations, b.stats.reassociations);
+  }
 }
 
 }  // namespace

@@ -11,13 +11,14 @@
 #include "core/dmra_allocator.hpp"
 #include "core/incremental.hpp"
 #include "core/solver.hpp"
+#include "baselines/nonco.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/round_csv.hpp"
+#include "sim/churn.hpp"
 #include "sim/experiment.hpp"
-#include "sim/online.hpp"
 #include "../test_util.hpp"
 #include "util/json.hpp"
 #include "workload/generator.hpp"
@@ -314,47 +315,48 @@ TEST(DecentralizedTracing, MatchesSolverDecisionCounts) {
 // ---- Instrumentation: incremental, online, experiment ----------------------
 
 TEST(IncrementalTracing, ReportsCarryOverCounters) {
+  // A traced decision narrates proposal + accept for a BS placement and
+  // stays silent for a cloud one; removals carry no events.
   const Scenario scenario = test::two_bs_scenario(6);
-  const Allocation previous = solve_dmra(scenario, {}).allocation;
   obs::TraceRecorder rec;
-  IncrementalResult result;
+  IncrementalAllocator inc(scenario);
+  std::size_t placed = 0;
   {
     obs::ScopedTraceRecorder install(&rec);
-    result = solve_incremental_dmra(scenario, previous, {});
+    for (std::size_t ui = 0; ui < scenario.num_ues(); ++ui)
+      placed += inc.admit(UeId{static_cast<std::uint32_t>(ui)}) ? 1 : 0;
+    inc.remove(UeId{0});
   }
-  EXPECT_EQ(rec.metrics().counter("incremental.kept"), result.kept);
-  EXPECT_EQ(rec.metrics().counter("incremental.released"), result.released);
-  EXPECT_EQ(rec.metrics().counter("incremental.invalidated"), result.invalidated);
-  bool saw_phase = false;
-  for (const obs::TraceEvent& e : rec.events())
-    if (e.kind == obs::EventKind::kPhase && e.label == "core/incremental:carry-over")
-      saw_phase = true;
-  EXPECT_TRUE(saw_phase);
+  ASSERT_GT(placed, 0u);
+  const obs::EventTally tally = rec.take_tally();
+  EXPECT_EQ(tally.proposals, placed);
+  EXPECT_EQ(tally.accepts, placed);
+  EXPECT_EQ(tally.rejects, 0u);
 }
 
 TEST(OnlineTracing, EmitsOneRowPerEpoch) {
-  OnlineConfig config;
-  config.scenario.num_ues = 40;
-  config.epochs = 3;
-  const DmraAllocator allocator;
-  obs::TraceRecorder rec;
-  OnlineResult result;
-  {
-    obs::ScopedTraceRecorder install(&rec);
-    OnlineSimulator sim(config, allocator);
-    result = sim.run();
+  // Online operation is the churn engine: one RoundRow per applied event,
+  // for every scheme, with the live profit carried on the last row.
+  ChurnConfig config;
+  config.arrival_rate_hz = 5.0;
+  config.horizon_events = 60;
+  const DmraAllocator dmra;
+  const NonCoAllocator nonco;
+  for (const Allocator* scheme : std::initializer_list<const Allocator*>{&dmra, &nonco}) {
+    obs::TraceRecorder rec;
+    ChurnResult result;
+    {
+      obs::ScopedTraceRecorder install(&rec);
+      result = run_churn(config, scheme);
+    }
+    ASSERT_EQ(rec.rows().size(), config.horizon_events) << scheme->name();
+    for (std::size_t e = 0; e < rec.rows().size(); ++e) {
+      EXPECT_EQ(rec.rows()[e].source, "sim/churn");
+      EXPECT_EQ(rec.rows()[e].round, e);
+    }
+    EXPECT_NEAR(rec.rows().back().cumulative_profit, result.stats.final_profit, 1e-9);
+    EXPECT_EQ(rec.metrics().counter("churn.arrivals"), result.stats.arrivals);
   }
-  std::vector<const obs::RoundRow*> online_rows;
-  for (const obs::RoundRow& row : rec.rows())
-    if (row.source == "sim/online") online_rows.push_back(&row);
-  ASSERT_EQ(online_rows.size(), config.epochs);
-  for (std::size_t e = 0; e < online_rows.size(); ++e) {
-    EXPECT_EQ(online_rows[e]->round, e);
-    EXPECT_EQ(online_rows[e]->proposals,
-              online_rows[e]->accepts + online_rows[e]->rejects);
-  }
-  EXPECT_NEAR(online_rows.back()->cumulative_profit, result.cumulative_profit, 1e-9);
-  EXPECT_EQ(rec.metrics().counter("online.epochs"), config.epochs);
 }
 
 TEST(ExperimentTracing, CountsSweepPointsAndReplications) {

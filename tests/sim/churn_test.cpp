@@ -1,17 +1,28 @@
 // Serving-driver contracts (docs/SERVING.md): deterministic timelines and
 // event logs, auditor-clean replay (including departures and faults), and
 // the degenerate 0-arrival / 0-dwell cases next to sim/degenerate_test.
+// Each replay contract runs twice: as Churn.* on the default DMRA rule,
+// and as ChurnSchemes.* with DMRA, DCSP and NonCo passed as the
+// Allocator whose place() rule serves the timeline.
 #include "sim/churn.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <vector>
 
+#include "baselines/dcsp.hpp"
+#include "baselines/greedy.hpp"
+#include "baselines/nonco.hpp"
 #include "check/invariant_auditor.hpp"
+#include "core/dmra_allocator.hpp"
 #include "mec/allocation.hpp"
 #include "mec/audit.hpp"
 #include "obs/recorder.hpp"
 #include "sim/feasibility.hpp"
+#include "util/require.hpp"
 
 namespace dmra {
 namespace {
@@ -55,15 +66,15 @@ TEST(Churn, TimelineIsDeterministic) {
   EXPECT_EQ(a.universe.num_ues(), arrivals + moves);
 }
 
-TEST(Churn, RunIsDeterministicAndTracingInvariant) {
+void expect_RunIsDeterministicAndTracingInvariant(const Allocator* scheme) {
   const ChurnConfig cfg = small_config();
-  const ChurnResult untraced = run_churn(cfg);
+  const ChurnResult untraced = run_churn(cfg, scheme);
 
   obs::TraceRecorder rec;
   ChurnResult traced;
   {
     obs::ScopedTraceRecorder install(&rec);
-    traced = run_churn(cfg);
+    traced = run_churn(cfg, scheme);
   }
   // Tracing must not perturb any deterministic surface.
   EXPECT_EQ(untraced.event_log, traced.event_log);
@@ -82,8 +93,8 @@ TEST(Churn, RunIsDeterministicAndTracingInvariant) {
   EXPECT_EQ(timeline_events, traced.stats.events);
 }
 
-TEST(Churn, StatsAreInternallyConsistent) {
-  const ChurnResult r = run_churn(small_config());
+void expect_StatsAreInternallyConsistent(const Allocator* scheme) {
+  const ChurnResult r = run_churn(small_config(), scheme);
   const ChurnStats& s = r.stats;
   EXPECT_EQ(s.events, s.arrivals + s.departures + s.moves);
   EXPECT_EQ(s.final_active, s.arrivals - s.departures);
@@ -95,10 +106,10 @@ TEST(Churn, StatsAreInternallyConsistent) {
   EXPECT_EQ(s.resolves, small_config().horizon_events / 100);
 }
 
-TEST(Churn, FinalAllocationIsFeasibleAndProfitMatches) {
+void expect_FinalAllocationIsFeasibleAndProfitMatches(const Allocator* scheme) {
   const ChurnConfig cfg = small_config();
   const ChurnTimeline timeline = build_churn_timeline(cfg);
-  const ChurnResult r = run_churn(timeline, cfg);
+  const ChurnResult r = run_churn(timeline, cfg, scheme);
   const FeasibilityReport report = check_feasibility(timeline.universe, r.final_allocation);
   EXPECT_TRUE(report.ok) << (report.violations.empty() ? "" : report.violations[0]);
   const double recomputed = total_profit(timeline.universe, r.final_allocation);
@@ -109,17 +120,17 @@ TEST(Churn, FinalAllocationIsFeasibleAndProfitMatches) {
 // Departure conservation: every release is recounted by the auditor's
 // ledger cross-check after every event (round 0 keeps it stateless). A
 // short dwell maximizes departures through the audited window.
-TEST(Churn, AuditedHighChurnRunIsClean) {
+void expect_AuditedHighChurnRunIsClean(const Allocator* scheme) {
   ChurnConfig cfg = small_config();
   cfg.mean_dwell_s = 5.0;  // heavy departure traffic
   check::InvariantAuditor auditor;
   audit::ScopedAuditObserver install(&auditor);
   ChurnResult r;
-  EXPECT_NO_THROW(r = run_churn(cfg));
+  EXPECT_NO_THROW(r = run_churn(cfg, scheme));
   EXPECT_GT(r.stats.departures, 50u);
 }
 
-TEST(Churn, AuditedFaultRunIsClean) {
+void expect_AuditedFaultRunIsClean(const Allocator* scheme) {
   ChurnConfig cfg = small_config();
   cfg.prefill = 200;  // crash lands on a loaded deployment
   FaultSpec faults;
@@ -131,7 +142,7 @@ TEST(Churn, AuditedFaultRunIsClean) {
   check::InvariantAuditor auditor;
   audit::ScopedAuditObserver install(&auditor);
   ChurnResult r;
-  EXPECT_NO_THROW(r = run_churn(cfg));
+  EXPECT_NO_THROW(r = run_churn(cfg, scheme));
   EXPECT_EQ(r.stats.crashes, 1u);
   EXPECT_EQ(r.stats.recoveries, 1u);
   EXPECT_GT(r.stats.orphaned_ues, 0u);
@@ -140,7 +151,7 @@ TEST(Churn, AuditedFaultRunIsClean) {
   EXPECT_GE(r.stats.reassociations, r.stats.orphaned_ues);
 }
 
-TEST(Churn, FaultSameSeedIsByteIdentical) {
+void expect_FaultSameSeedIsByteIdentical(const Allocator* scheme) {
   ChurnConfig cfg = small_config();
   FaultSpec faults;
   faults.crashes = 2;
@@ -150,20 +161,20 @@ TEST(Churn, FaultSameSeedIsByteIdentical) {
   faults.degrade_round = 50;
   faults.seed = 11;
   cfg.faults = faults;
-  const ChurnResult a = run_churn(cfg);
-  const ChurnResult b = run_churn(cfg);
+  const ChurnResult a = run_churn(cfg, scheme);
+  const ChurnResult b = run_churn(cfg, scheme);
   EXPECT_EQ(a.event_log, b.event_log);
   EXPECT_EQ(a.final_allocation, b.final_allocation);
   EXPECT_EQ(a.stats.readmitted, b.stats.readmitted);
   EXPECT_EQ(a.stats.recovery_events_max, b.stats.recovery_events_max);
 }
 
-TEST(Churn, ZeroArrivalDegenerate) {
+void expect_ZeroArrivalDegenerate(const Allocator* scheme) {
   ChurnConfig cfg;
   cfg.arrival_rate_hz = 0.0;
   cfg.prefill = 0;
   cfg.horizon_events = 100;
-  const ChurnResult r = run_churn(cfg);
+  const ChurnResult r = run_churn(cfg, scheme);
   EXPECT_EQ(r.stats.events, 0u);
   EXPECT_EQ(r.stats.universe_slots, 0u);
   EXPECT_EQ(r.final_allocation.num_ues(), 0u);
@@ -171,7 +182,7 @@ TEST(Churn, ZeroArrivalDegenerate) {
   EXPECT_EQ(r.event_log, "final events=0 active=0 served=0 cloud=0 profit=0\n");
 }
 
-TEST(Churn, ZeroDwellDegenerate) {
+void expect_ZeroDwellDegenerate(const Allocator* scheme) {
   ChurnConfig cfg;
   cfg.arrival_rate_hz = 5.0;
   cfg.mean_dwell_s = 0.0;  // depart the instant they arrive
@@ -180,7 +191,7 @@ TEST(Churn, ZeroDwellDegenerate) {
   check::InvariantAuditor auditor;
   audit::ScopedAuditObserver install(&auditor);
   ChurnResult r;
-  EXPECT_NO_THROW(r = run_churn(cfg));
+  EXPECT_NO_THROW(r = run_churn(cfg, scheme));
   // Arrivals and departures interleave one-for-one.
   EXPECT_EQ(r.stats.final_active, r.stats.arrivals - r.stats.departures);
   EXPECT_LE(r.stats.final_active, 1u);
@@ -210,6 +221,246 @@ TEST(Churn, SteadyStateTargetIsRateTimesDwell) {
   EXPECT_EQ(cfg.steady_state_target(), 2000u);
   cfg.arrival_rate_hz = 0.0;
   EXPECT_EQ(cfg.steady_state_target(), 0u);
+}
+
+// The replay contracts above, on the default rule and per scheme.
+#define DMRA_CHURN_CONTRACT(name)                                     \
+  TEST(Churn, name) { expect_##name(nullptr); }                       \
+  TEST_P(ChurnSchemes, name) { expect_##name(GetParam().allocator); }
+
+struct Scheme {
+  const Allocator* allocator;
+};
+void PrintTo(const Scheme& s, std::ostream* os) { *os << s.allocator->name(); }
+
+class ChurnSchemes : public ::testing::TestWithParam<Scheme> {};
+
+DMRA_CHURN_CONTRACT(RunIsDeterministicAndTracingInvariant)
+DMRA_CHURN_CONTRACT(StatsAreInternallyConsistent)
+DMRA_CHURN_CONTRACT(FinalAllocationIsFeasibleAndProfitMatches)
+DMRA_CHURN_CONTRACT(AuditedHighChurnRunIsClean)
+DMRA_CHURN_CONTRACT(AuditedFaultRunIsClean)
+DMRA_CHURN_CONTRACT(FaultSameSeedIsByteIdentical)
+DMRA_CHURN_CONTRACT(ZeroArrivalDegenerate)
+DMRA_CHURN_CONTRACT(ZeroDwellDegenerate)
+
+const DmraAllocator kDmra;
+const DcspAllocator kDcsp;
+const NonCoAllocator kNonCo;
+
+INSTANTIATE_TEST_SUITE_P(Schemes, ChurnSchemes,
+                         ::testing::Values(Scheme{&kDmra}, Scheme{&kDcsp}, Scheme{&kNonCo}));
+
+// The explicit DMRA rule is the default rule: same bytes on every surface.
+TEST(Churn, ExplicitDmraAllocatorMatchesTheDefaultRule) {
+  ChurnConfig cfg = small_config();
+  cfg.incremental.dmra.rho = 250.0;
+  const DmraAllocator explicit_dmra(cfg.incremental.dmra);
+  const ChurnResult a = run_churn(cfg);
+  const ChurnResult b = run_churn(cfg, &explicit_dmra);
+  EXPECT_EQ(a.event_log, b.event_log);
+  EXPECT_EQ(a.final_allocation, b.final_allocation);
+}
+
+// Schemes differ in where they send UEs, not in what the engine does
+// around them: the timeline and its bookkeeping are shared.
+TEST(Churn, SchemesShareTheTimelineButNotTheDecisions) {
+  const ChurnConfig cfg = small_config();
+  const ChurnResult dmra = run_churn(cfg, &kDmra);
+  const ChurnResult dcsp = run_churn(cfg, &kDcsp);
+  EXPECT_EQ(dmra.stats.arrivals, dcsp.stats.arrivals);
+  EXPECT_EQ(dmra.stats.departures, dcsp.stats.departures);
+  EXPECT_EQ(dmra.stats.moves, dcsp.stats.moves);
+  EXPECT_NE(dmra.final_allocation, dcsp.final_allocation);
+  // The resolve baseline is DMRA for every scheme; DMRA's own live
+  // allocation sits closer to it than DCSP's load-balancing one.
+  EXPECT_LT(dmra.stats.resolve_gap_last, dcsp.stats.resolve_gap_last);
+}
+
+// ---- Online operation: arrivals, dwell and departures ----------------------
+// Online operation on the churn engine, checked for every scheme (null =
+// the default DMRA rule).
+
+const Allocator* const kSchemes[] = {nullptr, &kDmra, &kDcsp, &kNonCo};
+
+std::string scheme_name(const Allocator* scheme) {
+  return scheme == nullptr ? "default" : scheme->name();
+}
+
+/// A 300-UE steady state (10 arrivals/s × 30 s dwell), then 600 events.
+ChurnConfig online_config() {
+  ChurnConfig cfg;
+  cfg.arrival_rate_hz = 10.0;
+  cfg.mean_dwell_s = 30.0;
+  cfg.prefill = cfg.steady_state_target();
+  cfg.horizon_events = cfg.prefill + 600;
+  cfg.seed = 5;
+  return cfg;
+}
+
+/// Arrivals, departures and moves of `timeline` applied straight to an
+/// IncrementalAllocator (no sweeps), exposing the ledger run_churn keeps.
+IncrementalAllocator replay(const ChurnTimeline& timeline, const Allocator* scheme) {
+  IncrementalAllocator inc(timeline.universe, {}, scheme);
+  for (const ChurnEvent& e : timeline.events) {
+    if (e.kind == ChurnEventKind::kMove) inc.remove(UeId{e.prev_slot});
+    if (e.kind == ChurnEventKind::kDeparture) {
+      inc.remove(UeId{e.slot});
+    } else {
+      inc.admit(UeId{e.slot});
+    }
+  }
+  return inc;
+}
+
+TEST(Online, RunsAllEpochsAndAccounts) {
+  const ChurnConfig cfg = online_config();
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const ChurnStats s = run_churn(cfg, scheme).stats;
+    EXPECT_EQ(s.events, cfg.horizon_events);
+    EXPECT_EQ(s.events, s.arrivals + s.departures + s.moves);
+    // Every admission is decided: onto a BS or to the cloud.
+    EXPECT_EQ(s.admitted_to_bs + s.admitted_to_cloud, s.arrivals + s.moves);
+    EXPECT_EQ(s.final_active, s.final_served + s.final_cloud);
+  }
+}
+
+TEST(Online, Deterministic) {
+  const ChurnConfig cfg = online_config();
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const ChurnResult a = run_churn(cfg, scheme);
+    const ChurnResult b = run_churn(cfg, scheme);
+    EXPECT_EQ(a.event_log, b.event_log);
+    EXPECT_EQ(a.stats.final_profit, b.stats.final_profit);
+  }
+}
+
+TEST(Online, ArrivalBatchesDifferAcrossEpochs) {
+  // Arrivals draw their attributes independently; so do seeds.
+  const ChurnConfig cfg = online_config();
+  const ChurnTimeline timeline = build_churn_timeline(cfg);
+  ASSERT_GE(timeline.universe.num_ues(), 2u);
+  EXPECT_FALSE(timeline.universe.ue(UeId{0}).position ==
+               timeline.universe.ue(UeId{1}).position);
+  ChurnConfig other = cfg;
+  other.seed = cfg.seed + 1;
+  EXPECT_NE(run_churn(cfg).stats.final_profit, run_churn(other).stats.final_profit);
+}
+
+TEST(Online, ResourcesConserved) {
+  // The live ledger equals nominal capacity minus what the allocation
+  // holds, for every BS and service, whichever scheme placed the UEs.
+  const ChurnTimeline timeline = build_churn_timeline(online_config());
+  const Scenario& u = timeline.universe;
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const IncrementalAllocator inc = replay(timeline, scheme);
+    EXPECT_GT(inc.allocation().num_served(), 0u);
+    ResourceState recount(u);
+    for (const BaseStation& b : u.bss()) {
+      recount.recount_remaining(b.id, inc.allocation());
+      EXPECT_EQ(inc.state().remaining_rrbs(b.id), recount.remaining_rrbs(b.id));
+      for (std::size_t j = 0; j < u.num_services(); ++j) {
+        const ServiceId sj{static_cast<std::uint32_t>(j)};
+        EXPECT_EQ(inc.state().remaining_crus(b.id, sj), recount.remaining_crus(b.id, sj));
+      }
+    }
+  }
+}
+
+TEST(Online, DeparturesFreeResources) {
+  // A prefilled population with no further arrivals drains completely.
+  ChurnConfig cfg;
+  cfg.arrival_rate_hz = 0.0;
+  cfg.mean_dwell_s = 5.0;
+  cfg.prefill = 300;
+  cfg.horizon_events = 600;
+  const ChurnTimeline timeline = build_churn_timeline(cfg);
+  ASSERT_EQ(timeline.events.size(), 600u);
+  const ResourceState fresh(timeline.universe);
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const IncrementalAllocator inc = replay(timeline, scheme);
+    EXPECT_EQ(inc.num_active(), 0u);
+    EXPECT_NEAR(inc.live_profit(), 0.0, 1e-9);
+    for (const BaseStation& b : timeline.universe.bss())
+      EXPECT_EQ(inc.state().remaining_rrbs(b.id), fresh.remaining_rrbs(b.id));
+    EXPECT_EQ(run_churn(timeline, cfg, scheme).stats.final_served, 0u);
+  }
+}
+
+TEST(Online, SteadyStateUtilizationStabilizes) {
+  // From empty, the population grows toward λ × dwell and stays there.
+  ChurnConfig cfg;
+  cfg.arrival_rate_hz = 10.0;
+  cfg.mean_dwell_s = 30.0;
+  cfg.horizon_events = 3000;  // ~150 s, five mean dwells
+  cfg.seed = 9;
+  const double target = static_cast<double>(cfg.steady_state_target());
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const ChurnStats s = run_churn(cfg, scheme).stats;
+    EXPECT_GT(static_cast<double>(s.final_active), 0.75 * target);
+    EXPECT_LT(static_cast<double>(s.final_active), 1.25 * target);
+    EXPECT_LT(static_cast<double>(s.peak_active), 1.4 * target);
+    EXPECT_GT(s.final_served, 0u);
+  }
+}
+
+TEST(Online, WorksWithAnyAllocator) {
+  // Any scheme with a place() rule serves; one without says which it is.
+  const ChurnConfig cfg = online_config();
+  const NonCoAllocator nonco_iter(NonCoAllocator::Mode::kIterative);
+  const Allocator* const schemes[] = {&kDmra, &kDcsp, &kNonCo, &nonco_iter};
+  for (const Allocator* scheme : schemes) {
+    SCOPED_TRACE(scheme->name());
+    const ChurnTimeline timeline = build_churn_timeline(cfg);
+    const ChurnResult r = run_churn(timeline, cfg, scheme);
+    EXPECT_GT(r.stats.final_served, 0u);
+    EXPECT_TRUE(check_feasibility(timeline.universe, r.final_allocation).ok);
+  }
+  const GreedyProfitAllocator greedy;
+  try {
+    (void)run_churn(cfg, &greedy);
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(greedy.name()), std::string::npos);
+  }
+}
+
+TEST(Online, TableHasOneRowPerEpoch) {
+  // The event log has one line per applied event, then the final line.
+  ChurnConfig cfg = online_config();
+  cfg.readmit_every = 0;
+  for (const Allocator* scheme : kSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const ChurnResult r = run_churn(cfg, scheme);
+    std::size_t lines = 0;
+    for (const char c : r.event_log) lines += c == '\n' ? 1 : 0;
+    EXPECT_EQ(lines, r.stats.events + 1);
+    EXPECT_NE(r.event_log.find("\nfinal events=" + std::to_string(r.stats.events)),
+              std::string::npos);
+  }
+}
+
+TEST(Online, LifetimeContracts) {
+  ChurnConfig cfg = online_config();
+  cfg.arrival_rate_hz = -1.0;
+  EXPECT_THROW(build_churn_timeline(cfg), ContractViolation);
+  // Zero dwell: every UE departs at its arrival instant, never before.
+  cfg = online_config();
+  cfg.prefill = 0;
+  cfg.mean_dwell_s = 0.0;
+  const ChurnTimeline timeline = build_churn_timeline(cfg);
+  std::vector<double> arrived(timeline.num_logical_ues, -1.0);
+  for (const ChurnEvent& e : timeline.events) {
+    if (e.kind == ChurnEventKind::kArrival) arrived[e.ue] = e.time_s;
+    if (e.kind == ChurnEventKind::kDeparture) {
+      EXPECT_EQ(e.time_s, arrived[e.ue]);
+    }
+  }
 }
 
 }  // namespace

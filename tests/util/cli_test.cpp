@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/require.hpp"
 
 namespace dmra {
@@ -92,6 +94,24 @@ TEST(Cli, BadNumbersAreContractViolations) {
   EXPECT_THROW(cli.get_double("rho"), ContractViolation);
   EXPECT_THROW(cli.get_bool("verbose"), ContractViolation);
   EXPECT_THROW(cli.get_double_list("list"), ContractViolation);
+}
+
+TEST(Cli, NegativeCountIsContractViolationNamingTheFlag) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--ues=-5"};
+  ASSERT_TRUE(cli.parse(2, argv));
+  EXPECT_EQ(cli.get_int("ues"), -5);
+  try {
+    (void)cli.get_count("ues");
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("--ues"), std::string::npos) << e.what();
+  }
+  Cli ok = make_cli();
+  const char* zero[] = {"prog", "--ues=0"};
+  ASSERT_TRUE(ok.parse(2, zero));
+  EXPECT_EQ(ok.get_count("ues"), 0u);
+  EXPECT_EQ(make_cli().get_count("ues"), 500u);
 }
 
 TEST(Cli, UndeclaredLookupIsContractViolation) {
