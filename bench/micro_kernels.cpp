@@ -31,27 +31,23 @@ void BM_SinrAndRrbs(benchmark::State& state) {
 BENCHMARK(BM_SinrAndRrbs);
 
 void BM_PreferenceEval(benchmark::State& state) {
+  // One UE proposal step (Eq. 17 over every candidate) against the
+  // untouched ledger, so no candidate is ever erased between iterations.
   dmra::ScenarioConfig cfg;
   cfg.num_ues = 500;
   const dmra::Scenario scenario = dmra::generate_scenario(cfg, 3);
   const dmra::ResourceState rs(scenario);
-  struct View final : dmra::ResourceView {
-    const dmra::ResourceState* rs;
-    std::uint32_t remaining_crus(dmra::BsId i, dmra::ServiceId j) const override {
-      return rs->remaining_crus(i, j);
-    }
-    std::uint32_t remaining_rrbs(dmra::BsId i) const override {
-      return rs->remaining_rrbs(i);
-    }
-  } view;
-  view.rs = &rs;
+  dmra::LiveCandidates lc;
+  lc.build(scenario);
   std::size_t ui = 0;
   for (auto _ : state) {
     const dmra::UeId u{static_cast<std::uint32_t>(ui % scenario.num_ues())};
-    double acc = 0.0;
-    for (dmra::BsId i : scenario.candidates(u))
-      acc += dmra::ue_preference_value(scenario, view, u, i, 100.0);
-    benchmark::DoNotOptimize(acc);
+    const dmra::ServiceId j = scenario.ue(u).service;
+    const auto view = [&rs, j](std::size_t, dmra::BsId i) {
+      return std::pair<std::uint32_t, std::uint32_t>{rs.remaining_crus(i, j),
+                                                     rs.remaining_rrbs(i)};
+    };
+    benchmark::DoNotOptimize(dmra::choose_proposal_soa(scenario, lc, u, 100.0, view));
     ++ui;
   }
 }

@@ -1,10 +1,18 @@
+// The message-passing DMRA protocol: one round loop shared by the
+// single-bus runtime (run_decentralized_dmra, the whole scenario) and the
+// region shards of run_sharded_dmra (core/sharded.cpp, one region per
+// call). This file is the only place the protocol phases live.
+
 #include "core/decentralized.hpp"
+#include "core/protocol.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
+#include <string_view>
 #include <variant>
+#include <vector>
 
-#include "core/runtime_detail.hpp"
 #include "mec/audit.hpp"
 #include "mec/resources.hpp"
 #include "net/bus.hpp"
@@ -17,26 +25,134 @@ namespace dmra {
 
 namespace {
 
-using runtime_detail::Bus;
-using runtime_detail::MsgDecision;
-using runtime_detail::MsgOffloadRequest;
-using runtime_detail::MsgPropose;
-using runtime_detail::MsgResourceUpdate;
-using runtime_detail::SnapshotRing;
-using runtime_detail::stable_sort_by_ue;
+
+// ---- Resource snapshots ----------------------------------------------------
+
+/// Bounded ring of the resource levels BSs have broadcast. A broadcast
+/// publishes ONE snapshot and fans out a {BsId, index} message to every
+/// covered UE, so the per-round messaging cost is O(audience)
+/// trivially-copyable envelopes instead of O(audience) heap-allocated
+/// CRU vectors. Indices are monotonically increasing, so they double as
+/// the epoch stamp: a UE slot holding a larger index is strictly newer.
+///
+/// UEs copy the values they care about at ingest (see the view arrays in
+/// run_protocol), so a snapshot only has to outlive the bus
+/// transit of the broadcasts that reference it — a handful of rounds even
+/// under maximal delay faults. The ring is sized for that window once at
+/// construction and publish() is thereafter allocation-free; every read
+/// revalidates its stamp so an undersized ring is a loud contract
+/// violation, never a silently stale view.
+class SnapshotRing {
+ public:
+  SnapshotRing(std::size_t num_services, std::size_t capacity)
+      : stride_(num_services),
+        cap_(capacity),
+        crus_(capacity * num_services, 0),
+        rrbs_(capacity, 0),
+        stamp_(capacity, kFree) {}
+
+  std::uint32_t publish(const BsLocalResources& r) {
+    // dmra::hotpath begin(snapshot-publish)
+    const std::size_t idx = static_cast<std::size_t>(next_ % cap_);
+    std::copy(r.crus.begin(), r.crus.end(), crus_.begin() + idx * stride_);
+    rrbs_[idx] = r.rrbs;
+    stamp_[idx] = next_;
+    return static_cast<std::uint32_t>(next_++);
+    // dmra::hotpath end(snapshot-publish)
+  }
+
+  std::uint32_t crus(std::uint32_t snapshot, std::size_t service) const {
+    return crus_[index_of(snapshot) * stride_ + service];
+  }
+  std::uint32_t rrbs(std::uint32_t snapshot) const { return rrbs_[index_of(snapshot)]; }
+
+ private:
+  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+
+  std::size_t index_of(std::uint32_t snapshot) const {
+    const std::size_t idx = snapshot % cap_;
+    DMRA_REQUIRE_MSG(stamp_[idx] == snapshot,
+                     "snapshot evicted before ingest: ring sized below the "
+                     "in-flight broadcast window");
+    return idx;
+  }
+
+  std::size_t stride_;
+  std::size_t cap_;
+  std::uint64_t next_ = 0;
+  std::vector<std::uint32_t> crus_;  // stride_ words per slot
+  std::vector<std::uint32_t> rrbs_;
+  std::vector<std::uint64_t> stamp_;  // snapshot id currently held per slot
+};
+
+// ---- Message types -------------------------------------------------------
+
+/// UE → its SP: "propose on my behalf to BS `target`".
+struct MsgOffloadRequest {
+  UeId ue;
+  BsId target;
+  std::uint32_t f_u;
+};
+
+/// SP → BS: relayed proposal.
+struct MsgPropose {
+  UeId ue;
+  std::uint32_t f_u;
+};
+
+/// BS → SP → UE: outcome of a proposal.
+struct MsgDecision {
+  UeId ue;
+  BsId bs;
+  bool accept;
+};
+
+/// BS → covered UEs: remaining resources after this round, as an index
+/// into the snapshot arena the BS published at send time.
+struct MsgResourceUpdate {
+  BsId bs;
+  std::uint32_t snapshot;
+};
+
+using Payload = std::variant<MsgOffloadRequest, MsgPropose, MsgDecision, MsgResourceUpdate>;
+using Bus = MessageBus<Payload>;
+
+/// Stable sort of proposals by UeId into caller-owned scratch — the
+/// stable-sorted permutation is unique, so this is element-for-element
+/// identical to std::stable_sort without its per-call temporary-buffer
+/// heap allocation (which would break the faulted round loop's
+/// zero-allocation budget; tests/core/alloc_test.cpp asserts it).
+void stable_sort_by_ue(std::vector<ProposalInfo>& v,
+                       std::vector<ProposalInfo>& scratch) {
+  const std::size_t n = v.size();
+  if (scratch.size() < n) scratch.resize(n);  // grow-only; reserved by caller
+  for (std::size_t width = 1; width < n; width *= 2) {
+    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
+      const std::size_t mid = std::min(lo + width, n);
+      const std::size_t hi = std::min(lo + 2 * width, n);
+      std::size_t i = lo, j = mid, k = lo;
+      // Left run wins ties: that is exactly the stability guarantee.
+      while (i < mid && j < hi) scratch[k++] = v[j].ue < v[i].ue ? v[j++] : v[i++];
+      while (i < mid) scratch[k++] = v[i++];
+      while (j < hi) scratch[k++] = v[j++];
+    }
+    std::copy(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(n),
+              v.begin());
+  }
+}
+
 
 // ---- Agents ---------------------------------------------------------------
 
 // A UE's view of its candidates' remaining resources lives in two flat
-// run-level arrays (one CRU word — the UE's own service — and one RRB
+// caller-owned arrays (one CRU word — the UE's own service — and one RRB
 // word per candidate slot, indexed by Scenario::candidate_offset). They
 // are prefilled with the BSs' static capacities — the optimistic prior a
 // UE is allowed to hold for a candidate it has not heard from (possible
 // only on a lossy network; the reliable bootstrap covers everyone), and
-// the safe one: a pessimistic prior would make choose_proposal erase a
-// live candidate permanently. Broadcast ingest overwrites the slot with
-// the ring values in arrival order, which is exactly the last-write-wins
-// the old lazily-dereferenced per-UE snapshot view computed.
+// the safe one: a pessimistic prior would make choose_proposal_soa erase
+// a live candidate permanently. Broadcast ingest overwrites the slot with
+// the ring values in arrival order (last write wins).
 
 struct UeAgent {
   UeId ue;
@@ -66,8 +182,9 @@ struct BsAgent {
   AgentId address;
   BsLocalResources resources;
   std::vector<AgentId> covered_ues;  // broadcast audience
-  /// UEs this BS has already admitted — on a lossy network an accept can
-  /// be lost and the UE re-proposes; re-ack without committing twice.
+  /// UEs this BS has already admitted, by UeId — on an unreliable network
+  /// an accept can be lost and the UE re-proposes; re-ack without
+  /// committing twice. Empty (and never read) on a reliable bus.
   std::vector<bool> admitted;
   /// Cleared by a scheduled FaultPlan crash: a dead BS swallows its inbox,
   /// sends nothing, and its resource state is meaningless until recovery.
@@ -76,16 +193,27 @@ struct BsAgent {
 
 }  // namespace
 
-DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
-                                           const DmraConfig& config,
-                                           const NetworkConditions& net) {
-  DMRA_REQUIRE(config.rho >= 0.0);
-  const bool lossy = net.drop_probability > 0.0;
-  const FaultPlan* const plan = net.faults;
+namespace protocol_detail {
+
+ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
+                         const NetworkConditions* net, std::span<const UeId> ues,
+                         std::span<const BsId> bss, std::span<std::uint32_t> view_crus,
+                         std::span<std::uint32_t> view_rrbs, LiveCandidates& b_u,
+                         Allocation& allocation) {
+  const std::size_t nu = scenario.num_ues();
+  const std::size_t nb = scenario.num_bss();
+  const std::size_t nk = scenario.num_sps();
+  // A region shard (net == nullptr) runs the reliable protocol only; the
+  // whole-scenario run owns the fault, audit and allocation-sampling paths.
+  const bool shard = net == nullptr;
+  DMRA_REQUIRE_MSG(shard || (ues.size() == nu && bss.size() == nb),
+                   "only a region shard runs over part of the scenario");
+  const bool lossy = !shard && net->drop_probability > 0.0;
+  const FaultPlan* const plan = shard ? nullptr : net->faults;
   const bool faulty = plan != nullptr && plan->any();
   if (faulty) {
-    plan->validate(scenario.num_bss());
-    DMRA_REQUIRE_MSG(net.drop_probability == 0.0,
+    plan->validate(nb);
+    DMRA_REQUIRE_MSG(net->drop_probability == 0.0,
                      "NetworkConditions::drop_probability and a FaultPlan are mutually "
                      "exclusive — put the loss rate in FaultPlan::link instead");
   }
@@ -104,13 +232,28 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
                      ? static_cast<std::size_t>(plan->link.max_delay_rounds)
                      : 0)
           : 1;
+  const std::string_view source = shard ? "core/sharded" : "core/decentralized";
+  const std::string_view bootstrap_label =
+      shard ? "core/sharded:bootstrap" : "core/decentralized:bootstrap";
 
   Bus bus;
-  if (lossy) bus.set_loss(net.drop_probability, net.seed);
-  if (faulty && plan->link.any()) bus.set_faults(plan->link, net.seed);
-  const std::size_t nu = scenario.num_ues();
-  const std::size_t nb = scenario.num_bss();
-  const std::size_t nk = scenario.num_sps();
+  if (lossy) bus.set_loss(net->drop_probability, net->seed);
+  if (faulty && plan->link.any()) bus.set_faults(plan->link, net->seed);
+  const std::size_t mu = ues.size();
+  const std::size_t mb = bss.size();
+
+  // Member-local indices: members are ascending, and the whole scenario is
+  // the identity map.
+  const auto local_ue = [&](UeId u) -> std::size_t {
+    if (mu == nu) return u.idx();
+    return static_cast<std::size_t>(std::lower_bound(ues.begin(), ues.end(), u) -
+                                    ues.begin());
+  };
+  const auto local_bs = [&](BsId i) -> std::size_t {
+    if (mb == nb) return i.idx();
+    return static_cast<std::size_t>(std::lower_bound(bss.begin(), bss.end(), i) -
+                                    bss.begin());
+  };
 
   // Ring capacity: a snapshot only has to survive from publish until the
   // broadcasts referencing it are ingested — at most a couple of protocol
@@ -118,23 +261,22 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   // publishes at most once per round. 8 rounds of slack is far beyond
   // that window; an eviction would trip the ring's stamp check.
   const std::size_t ring_cap = std::max<std::size_t>(
-      1, nb * (8 + (faulty ? static_cast<std::size_t>(plan->link.max_delay_rounds) : 0)));
+      1, mb * (8 + (faulty ? static_cast<std::size_t>(plan->link.max_delay_rounds) : 0)));
   SnapshotRing arena(scenario.num_services(), ring_cap);
-  LiveCandidates b_u;
-  b_u.build(scenario);
-  std::vector<std::uint32_t> view_crus(scenario.num_candidate_slots());
-  std::vector<std::uint32_t> view_rrbs(scenario.num_candidate_slots());
-  std::vector<UeAgent> ue_agents(nu);
+  std::vector<UeAgent> ue_agents(mu);
   std::vector<SpAgent> sp_agents(nk);
-  std::vector<BsAgent> bs_agents(nb);
+  std::vector<BsAgent> bs_agents(mb);
 
+  // Registration order — SPs, member UEs, member BSs — fixes the
+  // (recipient, seq) delivery order, so one shard holding the whole
+  // scenario replays the single-bus run message for message.
   for (std::size_t k = 0; k < nk; ++k) {
     sp_agents[k].sp = SpId{static_cast<std::uint32_t>(k)};
     sp_agents[k].address = bus.register_agent();
   }
-  for (std::size_t ui = 0; ui < nu; ++ui) {
-    UeAgent& a = ue_agents[ui];
-    a.ue = UeId{static_cast<std::uint32_t>(ui)};
+  for (std::size_t m = 0; m < mu; ++m) {
+    UeAgent& a = ue_agents[m];
+    a.ue = ues[m];
     a.address = bus.register_agent();
     a.sp_address = sp_agents[scenario.ue(a.ue).sp.idx()].address;
     const auto cands = scenario.candidates(a.ue);
@@ -147,16 +289,30 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     }
     if (b_u.empty(a.ue)) a.at_cloud = true;
   }
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    BsAgent& a = bs_agents[bi];
-    a.bs = BsId{static_cast<std::uint32_t>(bi)};
+  for (std::size_t m = 0; m < mb; ++m) {
+    BsAgent& a = bs_agents[m];
+    a.bs = bss[m];
     a.address = bus.register_agent();
     const BaseStation& b = scenario.bs(a.bs);
     a.resources.crus = b.cru_capacity;
     a.resources.rrbs = b.num_rrbs;
-    a.admitted.assign(nu, false);
-    for (const UeAgent& u : ue_agents)
-      if (scenario.link(u.ue, a.bs).in_coverage) a.covered_ues.push_back(u.address);
+    if (unreliable) a.admitted.assign(nu, false);
+  }
+  // Broadcast audiences, UE-ascending per BS. The whole-scenario run
+  // reaches every UE in coverage; a shard only the member UEs that list
+  // the BS as a candidate (a UE only ever reads candidate slots).
+  if (shard) {
+    for (const UeAgent& a : ue_agents)
+      for (const BsId i : scenario.candidates(a.ue)) {
+        const std::size_t m = local_bs(i);
+        DMRA_REQUIRE_MSG(m < mb && bss[m] == i,
+                         "region shard UE with a candidate outside its region");
+        bs_agents[m].covered_ues.push_back(a.address);
+      }
+  } else {
+    for (BsAgent& b : bs_agents)
+      for (const UeAgent& u : ue_agents)
+        if (scenario.link(u.ue, b.bs).in_coverage) b.covered_ues.push_back(u.address);
   }
 
   // Warm the bus pools to the per-deliver high-water mark: the BS phase is
@@ -167,22 +323,23 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   // also sizes the delay parking queue from the armed fault rates.
   std::size_t sum_covered = 0;
   for (const BsAgent& b : bs_agents) sum_covered += b.covered_ues.size();
-  bus.reserve(2 * nu * generations + sum_covered);
+  bus.reserve(2 * mu * generations + sum_covered);
 
-  DecentralizedResult result;
-  result.dmra.allocation = Allocation(nu);
+  ProtocolRun run;
 
   // Tracing: a single pointer test when disabled; everything else hides
-  // behind it. traced_profit mirrors the BSs' cumulative admissions.
+  // behind it. traced_profit mirrors the BSs' cumulative admissions and
+  // served counts the members the allocation holds at a BS.
   obs::TraceRecorder* const rec = obs::recorder();
   double traced_profit = 0.0;
+  std::size_t served = 0;
   if (rec != nullptr) {
     rec->take_tally();  // drop any tally left by a previous producer
     rec->set_round(0);
     obs::TraceEvent e;
     e.kind = obs::EventKind::kPhase;
-    e.label = "core/decentralized:bootstrap";
-    e.value = nb;
+    e.label = bootstrap_label;
+    e.value = mb;
     rec->record(e);
   }
   // Flight recorder (obs/flight.hpp): always-on post-mortem channel.
@@ -191,12 +348,12 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   // its steady-state cost is a handful of ring stores per round.
   obs::FlightRecorder* const fr = obs::flight();
   if (fr != nullptr) {
-    fr->reserve_agents(nu, nb);
+    if (!shard) fr->reserve_agents(nu, nb);
     fr->set_round(0);
     obs::TraceEvent e;
     e.kind = obs::EventKind::kPhase;
-    e.label = "core/decentralized:bootstrap";
-    e.value = nb;
+    e.label = bootstrap_label;
+    e.value = mb;
     fr->record(e);
   }
   const auto record_fault = [&](obs::EventKind kind, std::string_view label,
@@ -236,8 +393,8 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   const std::size_t round_limit =
       config.max_rounds > 0
           ? config.max_rounds
-          : (faulty ? 2 * nu + 64 + plan->schedule_horizon()
-                    : (lossy ? 2 * nu + 16 : nu + 1));
+          : (faulty ? 2 * mu + 64 + plan->schedule_horizon()
+                    : (lossy ? 2 * mu + 16 : mu + 1));
 
   // Under faults a quiet round (no proposals) is not proof of convergence:
   // a delayed message may still be in flight, a scheduled crash may be
@@ -246,7 +403,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   // rounds to outlast every countdown, an empty bus, and a spent schedule.
   const std::size_t quiet_grace =
       faulty ? std::max<std::size_t>(
-                   net.recovery.suspect_after + 2,
+                   net->recovery.suspect_after + 2,
                    plan->link.delay_probability > 0.0
                        ? static_cast<std::size_t>(plan->link.max_delay_rounds) + 1
                        : 0)
@@ -263,39 +420,38 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   std::size_t quiet_rounds = 0;
 
   // BS-phase scratch, hoisted out of the round loop and reserved to the
-  // worst case (one proposal per UE per generation — see `generations`
-  // above), so per round the cost is a clear() that keeps capacity, not a
-  // fresh heap allocation per BS.
+  // worst case (one proposal per member UE per generation — see
+  // `generations` above), so per round the cost is a clear() that keeps
+  // capacity, not a fresh heap allocation per BS.
   std::vector<ProposalInfo> fresh;
   std::vector<UeId> reacks;
   std::vector<ProposalInfo> sort_scratch;
-  fresh.reserve(nu * generations);
-  reacks.reserve(nu * generations);
-  sort_scratch.reserve(nu * generations);
+  fresh.reserve(mu * generations);
+  reacks.reserve(mu * generations);
+  sort_scratch.reserve(mu * generations);
   BsSelectWorkspace ws;
-  ws.reserve(scenario.num_services(), nu * generations);
+  ws.reserve(scenario.num_services(), mu * generations);
   const std::vector<UeId> empty_accepts;
 
   // Heap-allocation accounting: one count() sample per round when a probe
   // is installed (the zero-allocation test), one dead branch otherwise.
   // The first rounds warm the lazily-grown pools (trace sinks,
   // libstdc++ internals); rounds past the settle window are asserted
-  // allocation-free.
+  // allocation-free. A shard runs on a pool worker and is not sampled.
   constexpr std::uint64_t kAllocSettleRounds = 2;
-  const bool measuring = alloc_hook::active();
-  result.alloc.measured = measuring;
-  result.alloc.settle_rounds = kAllocSettleRounds;
+  const bool measuring = !shard && alloc_hook::active();
+  run.alloc.measured = measuring;
+  run.alloc.settle_rounds = kAllocSettleRounds;
   std::uint64_t alloc_mark = measuring ? alloc_hook::count() : 0;
   const auto sample_round = [&](std::size_t round) {
     if (!measuring) return;
     const std::uint64_t now = alloc_hook::count();
     const std::uint64_t delta = now - alloc_mark;
     alloc_mark = now;
-    result.alloc.total_allocations += delta;
-    if (round >= kAllocSettleRounds) result.alloc.steady_state_allocations += delta;
+    run.alloc.total_allocations += delta;
+    if (round >= kAllocSettleRounds) run.alloc.steady_state_allocations += delta;
   };
 
-  bool converged = false;
   for (std::size_t round = 0; round < round_limit; ++round) {
     const std::uint64_t msgs_before = bus.stats().messages_sent;
     if (rec != nullptr) rec->set_round(round);
@@ -308,41 +464,41 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     // (silence, lost decisions) — that is what is under test.
     if (faulty) {
       for (const BsOutage& o : plan->outages) {
-        if (o.crash_round == round && bs_agents[o.bs.idx()].alive) {
-          BsAgent& cb = bs_agents[o.bs.idx()];
+        if (o.crash_round == round && bs_agents[local_bs(o.bs)].alive) {
+          BsAgent& cb = bs_agents[local_bs(o.bs)];
           cb.alive = false;
           std::fill(cb.admitted.begin(), cb.admitted.end(), false);
-          ++result.recovery.bs_crashes;
+          ++run.recovery.bs_crashes;
           record_fault(obs::EventKind::kFault, "bs-crash", obs::kNoId, o.bs.value, round);
           if (fr != nullptr) fr->trigger("bs-crash", round, o.bs.value);
-          for (std::size_t ui = 0; ui < nu; ++ui) {
-            const UeId u{static_cast<std::uint32_t>(ui)};
-            const auto serving = result.dmra.allocation.bs_of(u);
+          for (UeAgent& a : ue_agents) {
+            const auto serving = allocation.bs_of(a.ue);
             if (!serving || *serving != o.bs) continue;
-            if (rec != nullptr) traced_profit -= scenario.pair_profit(u, o.bs);
-            result.dmra.allocation.assign_cloud(u);
-            ue_agents[ui].needs_repair = true;
-            ++result.recovery.orphaned_ues;
+            if (rec != nullptr) traced_profit -= scenario.pair_profit(a.ue, o.bs);
+            allocation.assign_cloud(a.ue);
+            --served;
+            a.needs_repair = true;
+            ++run.recovery.orphaned_ues;
           }
         }
-        if (o.recover_round == round && !bs_agents[o.bs.idx()].alive) {
-          BsAgent& rb = bs_agents[o.bs.idx()];
+        if (o.recover_round == round && !bs_agents[local_bs(o.bs)].alive) {
+          BsAgent& rb = bs_agents[local_bs(o.bs)];
           rb.alive = true;
           const BaseStation& b = scenario.bs(o.bs);
           rb.resources.crus = b.cru_capacity;  // reboot with nominal capacity
           rb.resources.rrbs = b.num_rrbs;
-          ++result.recovery.bs_recoveries;
+          ++run.recovery.bs_recoveries;
           record_fault(obs::EventKind::kRepair, "bs-recover", obs::kNoId, o.bs.value,
                        round);
         }
       }
       for (const CapacityDegradation& d : plan->degradations) {
-        if (d.round != round || !bs_agents[d.bs.idx()].alive) continue;
-        BsLocalResources& r = bs_agents[d.bs.idx()].resources;
+        if (d.round != round || !bs_agents[local_bs(d.bs)].alive) continue;
+        BsLocalResources& r = bs_agents[local_bs(d.bs)].resources;
         for (std::uint32_t& c : r.crus)
           c = static_cast<std::uint32_t>(static_cast<double>(c) * d.cru_factor);
         r.rrbs = static_cast<std::uint32_t>(static_cast<double>(r.rrbs) * d.rrb_factor);
-        ++result.recovery.capacity_degradations;
+        ++run.recovery.capacity_degradations;
         record_fault(obs::EventKind::kFault, "bs-degrade", obs::kNoId, d.bs.value, round);
       }
     }
@@ -395,11 +551,11 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       if (faulty && a.matched && a.has_serving) {
         if (a.heard_serving) {
           a.serving_silence = 0;
-        } else if (++a.serving_silence > net.recovery.suspect_after) {
+        } else if (++a.serving_silence > net->recovery.suspect_after) {
           a.matched = false;
           a.has_serving = false;
           a.serving_silence = 0;
-          ++result.recovery.suspected_serving_bs;
+          ++run.recovery.suspected_serving_bs;
           record_fault(obs::EventKind::kRepair, "suspect-serving-bs", a.ue.value,
                        a.serving_bs.value, round);
         }
@@ -411,12 +567,12 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       // black-holed BS from a livelock into a mere preference downgrade.
       if (faulty && a.awaiting) {
         ++a.unanswered;
-        ++result.recovery.reproposals;
-        if (a.unanswered >= net.recovery.max_reproposals) {
+        ++run.recovery.reproposals;
+        if (a.unanswered >= net->recovery.max_reproposals) {
           b_u.erase_bs(scenario, a.ue, a.last_target);
           a.awaiting = false;
           a.unanswered = 0;
-          ++result.recovery.presumed_dead;
+          ++run.recovery.presumed_dead;
           record_fault(obs::EventKind::kRepair, "presume-bs-dead", a.ue.value,
                        a.last_target.value, round);
         }
@@ -451,21 +607,21 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     bus.deliver();
     if (sent_this_round == 0) {
       if (!faulty) {
-        converged = true;
+        run.converged = true;
         sample_round(round);
         break;
       }
       ++quiet_rounds;
       if (quiet_rounds > quiet_grace && bus.in_flight() == 0 && !schedule_ahead(round)) {
-        converged = true;
+        run.converged = true;
         sample_round(round);
         break;
       }
     } else {
       quiet_rounds = 0;
     }
-    result.dmra.proposals_sent += sent_this_round;
-    ++result.dmra.rounds;
+    run.proposals += sent_this_round;
+    ++run.rounds;
 
     // ---- SP relay phase (up): forward offload requests to the BSs. On a
     // phase-aligned bus only requests can be here, but delay faults land
@@ -475,11 +631,11 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     for (SpAgent& sp : sp_agents) {
       for (auto& env : bus.take_inbox(sp.address)) {
         if (const auto* req = std::get_if<MsgOffloadRequest>(&env.payload)) {
-          bus.send(sp.address, bs_agents[req->target.idx()].address,
+          bus.send(sp.address, bs_agents[local_bs(req->target)].address,
                    MsgPropose{req->ue, req->f_u});
         } else {
           const auto& dec = std::get<MsgDecision>(env.payload);
-          bus.send(sp.address, ue_agents[dec.ue.idx()].address, dec);
+          bus.send(sp.address, ue_agents[local_ue(dec.ue)].address, dec);
         }
       }
     }
@@ -503,7 +659,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
         const auto& p = std::get<MsgPropose>(env.payload);
         // A UE this BS already admitted can only re-propose because the
         // accept got lost: re-ack idempotently, never commit twice.
-        if (b.admitted[p.ue.idx()]) {
+        if (unreliable && b.admitted[p.ue.idx()]) {
           reacks.push_back(p.ue);
         } else {
           fresh.push_back(ProposalInfo{p.ue, p.f_u});
@@ -532,17 +688,18 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
         DMRA_REQUIRE(b.resources.rrbs >= l.n_rrbs);
         b.resources.crus[e.service.idx()] -= e.cru_demand;
         b.resources.rrbs -= l.n_rrbs;
-        result.dmra.allocation.assign(u, b.bs);
-        b.admitted[u.idx()] = true;
+        if (allocation.is_cloud(u)) ++served;
+        allocation.assign(u, b.bs);
+        if (unreliable) b.admitted[u.idx()] = true;
         ++accepted_this_round;
         if (rec != nullptr) traced_profit += scenario.pair_profit(u, b.bs);
         // Recovery accounting (run-level bookkeeping, not agent knowledge:
         // the BS cannot tell an orphan from a first-time proposer, which
         // is the point — re-admission needs no special message).
-        if (faulty && ue_agents[u.idx()].needs_repair) {
-          ue_agents[u.idx()].needs_repair = false;
-          ++result.recovery.repaired_in_protocol;
-          result.recovery.recovered_profit += scenario.pair_profit(u, b.bs);
+        if (faulty && ue_agents[local_ue(u)].needs_repair) {
+          ue_agents[local_ue(u)].needs_repair = false;
+          ++run.recovery.repaired_in_protocol;
+          run.recovery.recovered_profit += scenario.pair_profit(u, b.bs);
           record_fault(obs::EventKind::kRepair, "re-match", u.value, b.bs.value, round);
         }
       }
@@ -578,7 +735,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     bus.deliver();
     // Delayed proposals can make a round accept more than it sent; clamp
     // instead of letting the size_t difference wrap.
-    result.dmra.rejections +=
+    run.rejections +=
         sent_this_round >= accepted_this_round ? sent_this_round - accepted_this_round
                                                : 0;
 
@@ -589,17 +746,20 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     // never received until rebroadcasts heal it, and a re-proposing UE can
     // land on a worse BS, so mid-run only partial feasibility is an
     // invariant: skip the ledger snapshot and the cross-round profit chain.
-    if (DMRA_AUDIT_ACTIVE()) {
+    // Shards are not audited here: the observer is process-global and not
+    // thread-safe, and no shard's ledger spans the scenario; the merged
+    // sharded allocation is audited once, after reconcile.
+    if (!shard && DMRA_AUDIT_ACTIVE()) {
       audit::RoundContext ctx;
       ctx.scenario = &scenario;
-      ctx.allocation = &result.dmra.allocation;
+      ctx.allocation = &allocation;
       if (!unreliable) {
         ctx.ledger = audit::snapshot_ledger(
             scenario,
             [&](BsId i, ServiceId j) { return bs_agents[i.idx()].resources.crus[j.idx()]; },
             [&](BsId i) { return bs_agents[i.idx()].resources.rrbs; });
       }
-      ctx.round = unreliable ? 0 : result.dmra.rounds - 1;
+      ctx.round = unreliable ? 0 : run.rounds - 1;
       ctx.source = faulty ? "core/decentralized-faulty"
                           : (lossy ? "core/decentralized-lossy" : "core/decentralized");
       audit::observer()->on_round(ctx);
@@ -612,10 +772,10 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     for (SpAgent& sp : sp_agents) {
       for (auto& env : bus.take_inbox(sp.address)) {
         if (const auto* dec = std::get_if<MsgDecision>(&env.payload)) {
-          bus.send(sp.address, ue_agents[dec->ue.idx()].address, *dec);
+          bus.send(sp.address, ue_agents[local_ue(dec->ue)].address, *dec);
         } else {
           const auto& req = std::get<MsgOffloadRequest>(env.payload);
-          bus.send(sp.address, bs_agents[req.target.idx()].address,
+          bus.send(sp.address, bs_agents[local_bs(req.target)].address,
                    MsgPropose{req.ue, req.f_u});
         }
       }
@@ -626,8 +786,8 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
     if (rec != nullptr) {
       const obs::EventTally tally = rec->take_tally();
       obs::RoundRow row;
-      row.source = "core/decentralized";
-      row.round = result.dmra.rounds - 1;
+      row.source = source;
+      row.round = run.rounds - 1;
       row.proposals = tally.proposals;
       row.accepts = tally.accepts;
       row.rejects = tally.rejects;
@@ -641,7 +801,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       std::size_t at_cloud_count = 0;
       for (const UeAgent& a : ue_agents)
         if (a.at_cloud) ++at_cloud_count;
-      row.unmatched_ues = nu - result.dmra.allocation.num_served() - at_cloud_count;
+      row.unmatched_ues = mu - served - at_cloud_count;
       row.cumulative_profit = traced_profit;
       for (const BsAgent& b : bs_agents) {
         for (const std::uint32_t c : b.resources.crus) row.cru_headroom += c;
@@ -653,8 +813,8 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       // Cheap aggregate only — no O(nu)/O(nb) scans: the flight round
       // ring must stay within the <2% always-on budget.
       obs::RoundRow row;
-      row.source = "core/decentralized";
-      row.round = result.dmra.rounds - 1;
+      row.source = source;
+      row.round = run.rounds - 1;
       row.proposals = sent_this_round;
       row.accepts = accepted_this_round;
       row.rejects = sent_this_round >= accepted_this_round
@@ -672,13 +832,12 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   // surviving BSs still believe they have. Whoever still cannot be placed
   // stays at the cloud — that is the graceful-degradation floor, never a
   // crash or an infeasible allocation.
-  if (faulty && net.recovery.final_repair) {
+  if (faulty && net->recovery.final_repair) {
     std::vector<bool> matched(nu, true);
     std::size_t orphan_count = 0;
-    for (std::size_t ui = 0; ui < nu; ++ui) {
-      const UeAgent& a = ue_agents[ui];
-      if (a.needs_repair && result.dmra.allocation.is_cloud(a.ue)) {
-        matched[ui] = false;
+    for (const UeAgent& a : ue_agents) {
+      if (a.needs_repair && allocation.is_cloud(a.ue)) {
+        matched[a.ue.idx()] = false;
         ++orphan_count;
       }
     }
@@ -686,7 +845,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       ResourceState state(scenario);
       for (std::size_t ui = 0; ui < nu; ++ui) {
         const UeId u{static_cast<std::uint32_t>(ui)};
-        if (const auto bs = result.dmra.allocation.bs_of(u)) state.commit(u, *bs);
+        if (const auto bs = allocation.bs_of(u)) state.commit(u, *bs);
       }
       // Clamp the global view down to each BS's own ledger: a crashed BS
       // offers nothing, and a degraded (or leak-carrying) BS offers only
@@ -705,17 +864,15 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
         // the solver's own ledger reports would trip the auditor's
         // recount; the partial allocation is re-audited manually below.
         audit::ScopedAuditObserver mute(nullptr);
-        repair = solve_dmra_partial(scenario, config, state,
-                                    result.dmra.allocation, matched);
+        repair = solve_dmra_partial(scenario, config, state, allocation, matched);
       }
-      result.recovery.repair_rounds = repair.rounds;
-      for (std::size_t ui = 0; ui < nu; ++ui) {
-        UeAgent& a = ue_agents[ui];
-        if (!a.needs_repair || result.dmra.allocation.is_cloud(a.ue)) continue;
+      run.recovery.repair_rounds = repair.rounds;
+      for (UeAgent& a : ue_agents) {
+        if (!a.needs_repair || allocation.is_cloud(a.ue)) continue;
         a.needs_repair = false;
-        const auto bs = result.dmra.allocation.bs_of(a.ue);
-        ++result.recovery.repaired_by_rematch;
-        result.recovery.recovered_profit += scenario.pair_profit(a.ue, *bs);
+        const auto bs = allocation.bs_of(a.ue);
+        ++run.recovery.repaired_by_rematch;
+        run.recovery.recovered_profit += scenario.pair_profit(a.ue, *bs);
         record_fault(obs::EventKind::kRepair, "repair-rematch", a.ue.value, bs->value,
                      repair.rounds);
       }
@@ -730,7 +887,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       if (DMRA_AUDIT_ACTIVE()) {
         audit::RoundContext ctx;  // feasibility-only: no ledger survives repair
         ctx.scenario = &scenario;
-        ctx.allocation = &result.dmra.allocation;
+        ctx.allocation = &allocation;
         ctx.round = 0;
         ctx.source = "core/decentralized-repair";
         audit::observer()->on_round(ctx);
@@ -739,10 +896,41 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   }
   if (faulty) {
     for (const UeAgent& a : ue_agents)
-      if (a.needs_repair) ++result.recovery.cloud_fallbacks;
+      if (a.needs_repair) ++run.recovery.cloud_fallbacks;
   }
 
-  result.bus = bus.stats();
+  run.bus = bus.stats();
+  return run;
+}
+
+}  // namespace protocol_detail
+
+DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
+                                           const DmraConfig& config,
+                                           const NetworkConditions& net) {
+  DMRA_REQUIRE(config.rho >= 0.0);
+  std::vector<UeId> ues(scenario.num_ues());
+  for (std::size_t ui = 0; ui < ues.size(); ++ui) ues[ui] = UeId{static_cast<std::uint32_t>(ui)};
+  std::vector<BsId> bss(scenario.num_bss());
+  for (std::size_t bi = 0; bi < bss.size(); ++bi) bss[bi] = BsId{static_cast<std::uint32_t>(bi)};
+  std::vector<std::uint32_t> view_crus(scenario.num_candidate_slots());
+  std::vector<std::uint32_t> view_rrbs(scenario.num_candidate_slots());
+  LiveCandidates b_u;
+  b_u.build(scenario);
+
+  DecentralizedResult result;
+  result.dmra.allocation = Allocation(scenario.num_ues());
+  const protocol_detail::ProtocolRun run =
+      protocol_detail::run_protocol(scenario, config, &net, ues, bss, view_crus, view_rrbs,
+                                    b_u, result.dmra.allocation);
+  result.dmra.rounds = run.rounds;
+  result.dmra.proposals_sent = run.proposals;
+  result.dmra.rejections = run.rejections;
+  result.bus = run.bus;
+  result.recovery = run.recovery;
+  result.alloc = run.alloc;
+
+  const bool faulty = net.faults != nullptr && net.faults->any();
   const auto publish_run = [&](obs::MetricsRegistry& m) {
     obs::publish_bus_stats(result.bus, m);
     if (faulty) {
@@ -763,10 +951,12 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
       m.set_gauge("fault.recovered_profit", r.recovered_profit);
     }
   };
+  obs::TraceRecorder* const rec = obs::recorder();
+  obs::FlightRecorder* const fr = obs::flight();
   if (rec != nullptr || fr != nullptr) {
     obs::TraceEvent e;
     e.kind = obs::EventKind::kTermination;
-    e.flag = converged;
+    e.flag = run.converged;
     e.value = result.dmra.rounds;
     e.label = "core/decentralized";
     if (rec != nullptr) {

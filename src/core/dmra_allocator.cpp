@@ -19,7 +19,7 @@ std::optional<BsId> DmraAllocator::place(const Scenario& scenario,
     const std::uint32_t rem_cru = state.remaining_crus(i, e.service);
     const std::uint32_t rem_rrb = state.remaining_rrbs(i);
     if (rem_cru < e.cru_demand || rem_rrb < rrbs[k]) continue;
-    const double v = prices[k] + config_.rho / static_cast<double>(rem_cru + rem_rrb);
+    const double v = preference_value(prices[k], rem_cru, rem_rrb, config_.rho);
     // Ties break toward the smaller BsId — candidates are ascending, so
     // strict < keeps the earlier (smaller) one.
     if (!best || v < best_v) {

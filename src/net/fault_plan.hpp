@@ -36,8 +36,10 @@ namespace dmra {
 /// message at delivery time. All probabilities are per message, in [0, 1).
 struct LinkFaults {
   /// Message is silently lost. Draws come from the same "bus-loss" stream
-  /// as MessageBus::set_loss, so a loss-only plan reproduces the legacy
-  /// lossy bus bit-for-bit for the same seed.
+  /// as MessageBus::set_loss, so a loss-only plan drops the same messages
+  /// of the same send sequence. A protocol run under the plan still
+  /// differs from the legacy lossy run: the plan arms recovery, which
+  /// changes what is sent (docs/RESILIENCE.md).
   double drop_probability = 0.0;
   /// A surviving message is delivered now AND a copy arrives one round
   /// later (stale retransmission). The copy is delivered unconditionally.

@@ -33,6 +33,11 @@
 // pinned here; perfbench/ measures them. These rows are short: update them
 // from the EXPECT_EQ messages rather than a regen printout.
 //
+// A fourth table, kShardedGolden, pins the region-sharded runtime: one
+// run_sharded_dmra per (seed, shard count) at 500 UEs, with the allocation's
+// profit bits, the summed matching and bus counters, each region's protocol
+// rounds, and the boundary/reconcile split.
+//
 // Regenerating (only legitimate after an intentional semantic change):
 //   DMRA_GOLDEN_REGEN=1 ./build/tests/core_test
 //     --gtest_filter='GoldenRuntime.*' 2>/dev/null
@@ -40,6 +45,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -365,6 +371,79 @@ constexpr ServingGoldenRow kServingGolden[] = {
      1024ull, 1ull, 40ull},
 };
 
+struct ShardedGoldenRow {
+  std::uint64_t seed;
+  std::size_t shards;
+  std::uint64_t profit_bits;
+  std::uint64_t matching_rounds;
+  std::uint64_t proposals;
+  std::uint64_t rejections;
+  std::uint64_t messages_sent;
+  std::uint64_t bus_rounds;
+  std::array<std::uint64_t, 8> rounds_per_shard;  ///< first `shards` entries used
+  std::uint64_t boundary_ues;
+  std::uint64_t boundary_ues_reconciled;
+};
+
+ShardedGoldenRow run_sharded_probe(std::uint64_t seed, std::size_t shards) {
+  ScenarioConfig cfg;
+  cfg.num_ues = 500;
+  const Scenario s = generate_scenario(cfg, seed);
+  const ShardedResult r = run_sharded_dmra(s, {}, {.num_shards = shards});
+  ShardedGoldenRow row{};
+  row.seed = seed;
+  row.shards = shards;
+  row.profit_bits = profit_bits(s, r.dmra.allocation);
+  row.matching_rounds = r.dmra.rounds;
+  row.proposals = r.dmra.proposals_sent;
+  row.rejections = r.dmra.rejections;
+  row.messages_sent = r.bus.messages_sent;
+  row.bus_rounds = r.bus.rounds;
+  for (std::size_t i = 0; i < r.shard.rounds_per_shard.size() && i < 8; ++i)
+    row.rounds_per_shard[i] = r.shard.rounds_per_shard[i];
+  row.boundary_ues = r.shard.boundary_ues;
+  row.boundary_ues_reconciled = r.shard.boundary_ues_reconciled;
+  return row;
+}
+
+void print_sharded_row(const ShardedGoldenRow& r) {
+  std::printf("    {%lluull, %zu, 0x%llxull, %lluull, %lluull, %lluull, %lluull, %lluull,\n"
+              "     {",
+              static_cast<unsigned long long>(r.seed), r.shards,
+              static_cast<unsigned long long>(r.profit_bits),
+              static_cast<unsigned long long>(r.matching_rounds),
+              static_cast<unsigned long long>(r.proposals),
+              static_cast<unsigned long long>(r.rejections),
+              static_cast<unsigned long long>(r.messages_sent),
+              static_cast<unsigned long long>(r.bus_rounds));
+  for (std::size_t i = 0; i < r.shards; ++i)
+    std::printf("%s%llu", i == 0 ? "" : ", ",
+                static_cast<unsigned long long>(r.rounds_per_shard[i]));
+  std::printf("}, %lluull, %lluull},\n", static_cast<unsigned long long>(r.boundary_ues),
+              static_cast<unsigned long long>(r.boundary_ues_reconciled));
+}
+
+constexpr ShardedGoldenRow kShardedGolden[] = {
+    {1ull, 2, 0x40b74c1f11ce2a50ull, 6ull, 1126ull, 626ull, 9153ull, 40ull,
+     {3, 6}, 271ull, 271ull},
+    {1ull, 4, 0x40b74b8bc5107728ull, 5ull, 1344ull, 844ull, 1058ull, 22ull,
+     {0, 0, 0, 5}, 458ull, 458ull},
+    {1ull, 8, 0x40b74b5905203e93ull, 0ull, 1407ull, 907ull, 0ull, 0ull,
+     {0, 0, 0, 0, 0, 0, 0, 0}, 500ull, 500ull},
+    {2ull, 2, 0x40b77b0bdeb7fb50ull, 6ull, 1160ull, 660ull, 8648ull, 44ull,
+     {4, 6}, 288ull, 288ull},
+    {2ull, 4, 0x40b77d8c6d28d1eaull, 3ull, 1326ull, 826ull, 866ull, 14ull,
+     {0, 0, 0, 3}, 459ull, 459ull},
+    {2ull, 8, 0x40b77cdc8379a3aeull, 0ull, 1402ull, 902ull, 0ull, 0ull,
+     {0, 0, 0, 0, 0, 0, 0, 0}, 500ull, 500ull},
+    {3ull, 2, 0x40b726e53fc50630ull, 7ull, 1156ull, 656ull, 8887ull, 48ull,
+     {4, 7}, 288ull, 288ull},
+    {3ull, 4, 0x40b7276a65e86341ull, 4ull, 1314ull, 814ull, 1029ull, 18ull,
+     {0, 0, 0, 4}, 456ull, 456ull},
+    {3ull, 8, 0x40b728221feaf97eull, 0ull, 1404ull, 904ull, 0ull, 0ull,
+     {0, 0, 0, 0, 0, 0, 0, 0}, 500ull, 500ull},
+};
+
 // See BusFaultStreamPinned below; regenerated alongside kGolden.
 constexpr std::uint64_t kBusFaultStreamHash = 0x4fdb0e93353ec4adull;
 
@@ -444,6 +523,30 @@ TEST(GoldenRuntime, ScaleAndServingCountersPinned) {
     EXPECT_EQ(got.flight_events_retained, want.flight_events_retained);
     EXPECT_EQ(got.postmortem_dumps, want.postmortem_dumps);
     EXPECT_EQ(got.metric_windows, want.metric_windows);
+  }
+}
+
+TEST(GoldenRuntime, ShardedCountersPinned) {
+  if (std::getenv("DMRA_GOLDEN_REGEN") != nullptr) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull})
+      for (const std::size_t shards : {2u, 4u, 8u})
+        print_sharded_row(run_sharded_probe(seed, shards));
+    GTEST_SKIP() << "regen mode: rows printed to stdout";
+  }
+  ASSERT_EQ(std::size(kShardedGolden), 9u);
+  for (const ShardedGoldenRow& want : kShardedGolden) {
+    const ShardedGoldenRow got = run_sharded_probe(want.seed, want.shards);
+    SCOPED_TRACE("seed " + std::to_string(want.seed) + " shards " +
+                 std::to_string(want.shards));
+    EXPECT_EQ(got.profit_bits, want.profit_bits);
+    EXPECT_EQ(got.matching_rounds, want.matching_rounds);
+    EXPECT_EQ(got.proposals, want.proposals);
+    EXPECT_EQ(got.rejections, want.rejections);
+    EXPECT_EQ(got.messages_sent, want.messages_sent);
+    EXPECT_EQ(got.bus_rounds, want.bus_rounds);
+    EXPECT_EQ(got.rounds_per_shard, want.rounds_per_shard);
+    EXPECT_EQ(got.boundary_ues, want.boundary_ues);
+    EXPECT_EQ(got.boundary_ues_reconciled, want.boundary_ues_reconciled);
   }
 }
 

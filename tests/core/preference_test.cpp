@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "../test_util.hpp"
 #include "mec/resources.hpp"
@@ -12,37 +13,51 @@
 namespace dmra {
 namespace {
 
-/// ResourceView over a live ResourceState (what the direct solver uses).
-class StateView final : public ResourceView {
- public:
-  explicit StateView(const ResourceState& s) : s_(&s) {}
-  std::uint32_t remaining_crus(BsId i, ServiceId j) const override {
-    return s_->remaining_crus(i, j);
-  }
-  std::uint32_t remaining_rrbs(BsId i) const override { return s_->remaining_rrbs(i); }
+/// The solver's view for choose_proposal_soa / live_coverage_count_soa:
+/// u's remaining resources straight from a live ResourceState.
+auto state_view(const Scenario& s, const ResourceState& rs, UeId u) {
+  const ServiceId j = s.ue(u).service;
+  return [&rs, j](std::size_t, BsId i) {
+    return std::pair<std::uint32_t, std::uint32_t>{rs.remaining_crus(i, j),
+                                                   rs.remaining_rrbs(i)};
+  };
+}
 
- private:
-  const ResourceState* s_;
-};
+/// Eq. 17 for candidate BS i of u over a live ResourceState, read the way
+/// the kernels read it (candidate price row + preference_value).
+double value_at(const Scenario& s, const ResourceState& rs, UeId u, BsId i, double rho) {
+  const auto cands = s.candidates(u);
+  const auto it = std::find(cands.begin(), cands.end(), i);
+  if (it == cands.end()) {
+    ADD_FAILURE() << "BS " << i.value << " is not a candidate of UE " << u.value;
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return preference_value(s.candidate_prices(u)[static_cast<std::size_t>(it - cands.begin())],
+                          rs.remaining_crus(i, s.ue(u).service), rs.remaining_rrbs(i), rho);
+}
+
+/// BsIds of u's live candidate row, in row order.
+std::vector<BsId> live_bss(const Scenario& s, const LiveCandidates& lc, UeId u) {
+  std::vector<BsId> out;
+  for (const std::uint32_t slot : lc.live(u)) out.push_back(s.candidates(u)[slot]);
+  return out;
+}
 
 TEST(UePreference, MatchesEq17) {
   const Scenario s = test::two_bs_scenario();
   ResourceState rs(s);
-  const StateView view(rs);
   const UeId u{0};
   const BsId i{0};
   const double rho = 150.0;
   const double expected =
       s.price(u, i) + rho / (rs.remaining_crus(i, s.ue(u).service) + rs.remaining_rrbs(i));
-  EXPECT_DOUBLE_EQ(ue_preference_value(s, view, u, i, rho), expected);
+  EXPECT_DOUBLE_EQ(value_at(s, rs, u, i, rho), expected);
 }
 
 TEST(UePreference, RhoZeroIsPureprice) {
   const Scenario s = test::two_bs_scenario();
   ResourceState rs(s);
-  const StateView view(rs);
-  EXPECT_DOUBLE_EQ(ue_preference_value(s, view, UeId{0}, BsId{0}, 0.0),
-                   s.price(UeId{0}, BsId{0}));
+  EXPECT_DOUBLE_EQ(value_at(s, rs, UeId{0}, BsId{0}, 0.0), s.price(UeId{0}, BsId{0}));
 }
 
 TEST(UePreference, ExhaustedBsIsInfinitelyUnattractive) {
@@ -54,10 +69,9 @@ TEST(UePreference, ExhaustedBsIsInfinitelyUnattractive) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});  // consumes all 4 CRUs and the only RRB
-  const StateView view(rs);
-  EXPECT_TRUE(std::isinf(ue_preference_value(s, view, UeId{0}, BsId{0}, 10.0)));
+  EXPECT_TRUE(std::isinf(value_at(s, rs, UeId{0}, BsId{0}, 10.0)));
   // With rho = 0 the resource term is absent and the price stays finite.
-  EXPECT_TRUE(std::isfinite(ue_preference_value(s, view, UeId{0}, BsId{0}, 0.0)));
+  EXPECT_TRUE(std::isfinite(value_at(s, rs, UeId{0}, BsId{0}, 0.0)));
 }
 
 TEST(UePreference, LessLoadedBsWinsAtEqualPrice) {
@@ -70,17 +84,35 @@ TEST(UePreference, LessLoadedBsWinsAtEqualPrice) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});  // load BS 0
-  const StateView view(rs);
-  EXPECT_GT(ue_preference_value(s, view, UeId{0}, BsId{0}, 100.0),
-            ue_preference_value(s, view, UeId{0}, BsId{1}, 100.0));
+  EXPECT_GT(value_at(s, rs, UeId{0}, BsId{0}, 100.0), value_at(s, rs, UeId{0}, BsId{1}, 100.0));
+  LiveCandidates lc;
+  lc.build(s);
+  EXPECT_EQ(choose_proposal_soa(s, lc, UeId{0}, 100.0, state_view(s, rs, UeId{0})),
+            (BsId{1}));
 }
 
 TEST(ViewCanServe, ChecksEveryDimension) {
   const Scenario s = test::two_bs_scenario();
   ResourceState rs(s);
-  const StateView view(rs);
-  EXPECT_TRUE(view_can_serve(s, view, UeId{0}, BsId{0}));
-  EXPECT_EQ(view_can_serve(s, view, UeId{0}, BsId{0}), rs.can_serve(UeId{0}, BsId{0}));
+  const UeId u{0};
+  // Live f_u counts a candidate exactly when the ledger can serve u...
+  std::uint32_t servable = 0;
+  for (const BsId i : s.candidates(u))
+    if (rs.can_serve(u, i)) ++servable;
+  EXPECT_GT(servable, 0u);
+  EXPECT_EQ(live_coverage_count_soa(s, u, state_view(s, rs, u)), servable);
+  // ...and a view exactly at u's demand serves, while one CRU or one RRB
+  // short of it at every candidate serves nowhere.
+  const auto short_by = [&s, u](std::uint32_t cru_short, std::uint32_t rrb_short) {
+    return [&s, u, cru_short, rrb_short](std::size_t slot, BsId) {
+      const std::size_t k = slot - s.candidate_offset(u);
+      return std::pair<std::uint32_t, std::uint32_t>{s.ue(u).cru_demand - cru_short,
+                                                     s.candidate_rrbs(u)[k] - rrb_short};
+    };
+  };
+  EXPECT_EQ(live_coverage_count_soa(s, u, short_by(0, 0)), s.candidates(u).size());
+  EXPECT_EQ(live_coverage_count_soa(s, u, short_by(1, 0)), 0u);
+  EXPECT_EQ(live_coverage_count_soa(s, u, short_by(0, 1)), 0u);
 }
 
 TEST(LiveCoverage, TracksResourceDepletion) {
@@ -92,10 +124,9 @@ TEST(LiveCoverage, TracksResourceDepletion) {
   ms.add_ue(sp, {50, 10}, ServiceId{0}, 4);
   const Scenario s = ms.build();
   ResourceState rs(s);
-  const StateView view(rs);
-  EXPECT_EQ(live_coverage_count(s, view, UeId{0}), 2u);
+  EXPECT_EQ(live_coverage_count_soa(s, UeId{0}, state_view(s, rs, UeId{0})), 2u);
   rs.commit(UeId{1}, BsId{0});  // exhausts BS 0's service-0 CRUs
-  EXPECT_EQ(live_coverage_count(s, view, UeId{0}), 1u);
+  EXPECT_EQ(live_coverage_count_soa(s, UeId{0}, state_view(s, rs, UeId{0})), 1u);
 }
 
 TEST(ChooseProposal, PicksSmallestPreferenceValue) {
@@ -106,10 +137,12 @@ TEST(ChooseProposal, PicksSmallestPreferenceValue) {
   ms.add_ue(sp, {100, 0}, ServiceId{0});  // nearer to BS 0 → cheaper
   const Scenario s = ms.build();
   ResourceState rs(s);
-  const StateView view(rs);
-  std::vector<BsId> b_u{BsId{0}, BsId{1}};
-  EXPECT_EQ(choose_proposal(s, view, UeId{0}, b_u, 100.0), (BsId{0}));
-  EXPECT_EQ(b_u.size(), 2u);  // nothing erased — both serviceable
+  LiveCandidates lc;
+  lc.build(s);
+  ASSERT_EQ(live_bss(s, lc, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
+  EXPECT_EQ(choose_proposal_soa(s, lc, UeId{0}, 100.0, state_view(s, rs, UeId{0})),
+            (BsId{0}));
+  EXPECT_EQ(lc.live(UeId{0}).size(), 2u);  // nothing erased — both serviceable
 }
 
 TEST(ChooseProposal, ErasesUnserviceableAndFallsBack) {
@@ -122,12 +155,14 @@ TEST(ChooseProposal, ErasesUnserviceableAndFallsBack) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});  // BS 0 out of CRUs
-  const StateView view(rs);
-  std::vector<BsId> b_u{BsId{0}, BsId{1}};
+  LiveCandidates lc;
+  lc.build(s);
+  ASSERT_EQ(live_bss(s, lc, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
   // With a small rho the near (cheap) BS 0 is still the argmin; it is
   // unserviceable, so Alg. 1 line 10 erases it and falls back to BS 1.
-  EXPECT_EQ(choose_proposal(s, view, UeId{0}, b_u, 10.0), (BsId{1}));
-  EXPECT_EQ(b_u, (std::vector<BsId>{BsId{1}}));  // BS 0 permanently erased
+  EXPECT_EQ(choose_proposal_soa(s, lc, UeId{0}, 10.0, state_view(s, rs, UeId{0})),
+            (BsId{1}));
+  EXPECT_EQ(live_bss(s, lc, UeId{0}), (std::vector<BsId>{BsId{1}}));  // BS 0 erased
 }
 
 TEST(ChooseProposal, DoesNotEraseBsesItNeverPicked) {
@@ -140,13 +175,15 @@ TEST(ChooseProposal, DoesNotEraseBsesItNeverPicked) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});
-  const StateView view(rs);
-  std::vector<BsId> b_u{BsId{0}, BsId{1}};
+  LiveCandidates lc;
+  lc.build(s);
+  ASSERT_EQ(live_bss(s, lc, UeId{0}), (std::vector<BsId>{BsId{0}, BsId{1}}));
   // A huge rho makes the exhausted BS 0 infinitely unattractive: BS 1 is
   // the argmin directly, so BS 0 stays in B_u (only picked-and-failed BSs
   // are deleted).
-  EXPECT_EQ(choose_proposal(s, view, UeId{0}, b_u, 1e6), (BsId{1}));
-  EXPECT_EQ(b_u.size(), 2u);
+  EXPECT_EQ(choose_proposal_soa(s, lc, UeId{0}, 1e6, state_view(s, rs, UeId{0})),
+            (BsId{1}));
+  EXPECT_EQ(lc.live(UeId{0}).size(), 2u);
 }
 
 TEST(ChooseProposal, ReturnsNulloptWhenExhausted) {
@@ -158,10 +195,12 @@ TEST(ChooseProposal, ReturnsNulloptWhenExhausted) {
   const Scenario s = ms.build();
   ResourceState rs(s);
   rs.commit(UeId{1}, BsId{0});
-  const StateView view(rs);
-  std::vector<BsId> b_u{BsId{0}};
-  EXPECT_FALSE(choose_proposal(s, view, UeId{0}, b_u, 100.0).has_value());
-  EXPECT_TRUE(b_u.empty());
+  LiveCandidates lc;
+  lc.build(s);
+  ASSERT_EQ(live_bss(s, lc, UeId{0}), (std::vector<BsId>{BsId{0}}));
+  EXPECT_FALSE(
+      choose_proposal_soa(s, lc, UeId{0}, 100.0, state_view(s, rs, UeId{0})).has_value());
+  EXPECT_TRUE(lc.empty(UeId{0}));
 }
 
 // ---- bs_select --------------------------------------------------------------

@@ -115,6 +115,9 @@ TEST(Sharded, SingleShardMatchesOracleExactly) {
           << "ues=" << ues << " seed=" << seed;
       EXPECT_EQ(sharded.dmra.rounds, oracle.dmra.rounds);
       EXPECT_EQ(sharded.dmra.proposals_sent, oracle.dmra.proposals_sent);
+      EXPECT_EQ(sharded.dmra.rejections, oracle.dmra.rejections);
+      EXPECT_EQ(sharded.bus.messages_sent, oracle.bus.messages_sent);
+      EXPECT_EQ(sharded.bus.rounds, oracle.bus.rounds);
       EXPECT_EQ(sharded.shard.boundary_ues, 0u);
       EXPECT_EQ(sharded.shard.reconcile_rounds, 0u);
     }
@@ -145,15 +148,21 @@ TEST(Sharded, FeasibleWithBoundedProfitGapAcrossShardCounts) {
 
 TEST(Sharded, ByteIdenticalForEveryJobsValue) {
   const Scenario s = paper_scenario(500, 11);
-  const ShardedResult base = run_sharded_dmra(s, {}, {.num_shards = 4, .jobs = 1});
-  for (const std::size_t jobs : {2u, 8u}) {
-    const ShardedResult res = run_sharded_dmra(s, {}, {.num_shards = 4, .jobs = jobs});
-    EXPECT_EQ(res.dmra.allocation, base.dmra.allocation) << "jobs=" << jobs;
-    EXPECT_EQ(res.dmra.rounds, base.dmra.rounds);
-    EXPECT_EQ(res.dmra.proposals_sent, base.dmra.proposals_sent);
-    EXPECT_EQ(res.bus.messages_sent, base.bus.messages_sent);
-    EXPECT_EQ(res.shard.rounds_per_shard, base.shard.rounds_per_shard);
-    EXPECT_EQ(res.shard.boundary_ues_reconciled, base.shard.boundary_ues_reconciled);
+  // At 2 shards both regions have members (39 and 167 interior UEs), so
+  // with jobs > 1 two shards run concurrently over the shared arrays.
+  for (const std::size_t shards : {2u, 4u}) {
+    const ShardedResult base = run_sharded_dmra(s, {}, {.num_shards = shards, .jobs = 1});
+    for (const std::size_t jobs : {2u, 8u}) {
+      const ShardedResult res =
+          run_sharded_dmra(s, {}, {.num_shards = shards, .jobs = jobs});
+      EXPECT_EQ(res.dmra.allocation, base.dmra.allocation)
+          << "shards=" << shards << " jobs=" << jobs;
+      EXPECT_EQ(res.dmra.rounds, base.dmra.rounds);
+      EXPECT_EQ(res.dmra.proposals_sent, base.dmra.proposals_sent);
+      EXPECT_EQ(res.bus.messages_sent, base.bus.messages_sent);
+      EXPECT_EQ(res.shard.rounds_per_shard, base.shard.rounds_per_shard);
+      EXPECT_EQ(res.shard.boundary_ues_reconciled, base.shard.boundary_ues_reconciled);
+    }
   }
 }
 
