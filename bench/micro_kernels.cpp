@@ -104,6 +104,36 @@ void BM_BusSendDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_BusSendDeliver)->Arg(10000)->Arg(100000)->Arg(1000000);
 
+// One multicast of a single payload to N recipients (the shape of a BS
+// resource broadcast), then one deliver() and every inbox drained.
+// items_per_second counts delivered copies, comparable with
+// BM_BusSendDeliver's per-message rate.
+void BM_BusMulticast(benchmark::State& state) {
+  const auto total = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kAgents = 256;
+  dmra::MessageBus<std::uint64_t> bus;
+  std::vector<dmra::AgentId> agents;
+  agents.reserve(kAgents);
+  for (std::size_t a = 0; a < kAgents; ++a)
+    agents.push_back(bus.register_agent());
+  std::vector<dmra::AgentId> audience(total);
+  for (std::size_t m = 0; m < total; ++m) audience[m] = agents[(m * 7 + 3) % kAgents];
+  std::uint64_t sink = 0;
+  std::uint64_t payload = 0;
+  for (auto _ : state) {
+    bus.multicast(agents[0], audience, payload++);
+    bus.deliver();
+    for (const dmra::AgentId id : agents) {
+      const auto inbox = bus.take_inbox(id);
+      for (const auto& env : inbox) sink += env.payload;
+    }
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(total));
+}
+BENCHMARK(BM_BusMulticast)->Arg(10000)->Arg(100000)->Arg(1000000);
+
 dmra::PreferenceLists random_prefs(std::size_t n, std::size_t m, dmra::Rng& rng) {
   dmra::PreferenceLists prefs(n);
   for (auto& list : prefs) {

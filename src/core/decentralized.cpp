@@ -25,65 +25,7 @@ namespace dmra {
 
 namespace {
 
-
-// ---- Resource snapshots ----------------------------------------------------
-
-/// Bounded ring of the resource levels BSs have broadcast. A broadcast
-/// publishes ONE snapshot and fans out a {BsId, index} message to every
-/// covered UE, so the per-round messaging cost is O(audience)
-/// trivially-copyable envelopes instead of O(audience) heap-allocated
-/// CRU vectors. Indices are monotonically increasing, so they double as
-/// the epoch stamp: a UE slot holding a larger index is strictly newer.
-///
-/// UEs copy the values they care about at ingest (see the view arrays in
-/// run_protocol), so a snapshot only has to outlive the bus
-/// transit of the broadcasts that reference it — a handful of rounds even
-/// under maximal delay faults. The ring is sized for that window once at
-/// construction and publish() is thereafter allocation-free; every read
-/// revalidates its stamp so an undersized ring is a loud contract
-/// violation, never a silently stale view.
-class SnapshotRing {
- public:
-  SnapshotRing(std::size_t num_services, std::size_t capacity)
-      : stride_(num_services),
-        cap_(capacity),
-        crus_(capacity * num_services, 0),
-        rrbs_(capacity, 0),
-        stamp_(capacity, kFree) {}
-
-  std::uint32_t publish(const BsLocalResources& r) {
-    // dmra::hotpath begin(snapshot-publish)
-    const std::size_t idx = static_cast<std::size_t>(next_ % cap_);
-    std::copy(r.crus.begin(), r.crus.end(), crus_.begin() + idx * stride_);
-    rrbs_[idx] = r.rrbs;
-    stamp_[idx] = next_;
-    return static_cast<std::uint32_t>(next_++);
-    // dmra::hotpath end(snapshot-publish)
-  }
-
-  std::uint32_t crus(std::uint32_t snapshot, std::size_t service) const {
-    return crus_[index_of(snapshot) * stride_ + service];
-  }
-  std::uint32_t rrbs(std::uint32_t snapshot) const { return rrbs_[index_of(snapshot)]; }
-
- private:
-  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
-
-  std::size_t index_of(std::uint32_t snapshot) const {
-    const std::size_t idx = snapshot % cap_;
-    DMRA_REQUIRE_MSG(stamp_[idx] == snapshot,
-                     "snapshot evicted before ingest: ring sized below the "
-                     "in-flight broadcast window");
-    return idx;
-  }
-
-  std::size_t stride_;
-  std::size_t cap_;
-  std::uint64_t next_ = 0;
-  std::vector<std::uint32_t> crus_;  // stride_ words per slot
-  std::vector<std::uint32_t> rrbs_;
-  std::vector<std::uint64_t> stamp_;  // snapshot id currently held per slot
-};
+using protocol_detail::SnapshotRing;
 
 // ---- Message types -------------------------------------------------------
 
@@ -298,9 +240,11 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
     a.resources.rrbs = b.num_rrbs;
     if (unreliable) a.admitted.assign(nu, false);
   }
-  // Broadcast audiences, UE-ascending per BS. The whole-scenario run
-  // reaches every UE in coverage; a shard only the member UEs that list
-  // the BS as a candidate (a UE only ever reads candidate slots).
+  // Broadcast audiences, UE-ascending per BS: built UE-major, so each
+  // BS's list grows in UE order. The whole-scenario run reaches every UE
+  // in coverage (a walk of each UE's link row); a shard only the member
+  // UEs that list the BS as a candidate (a UE only ever reads candidate
+  // slots).
   if (shard) {
     for (const UeAgent& a : ue_agents)
       for (const BsId i : scenario.candidates(a.ue)) {
@@ -310,20 +254,21 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
         bs_agents[m].covered_ues.push_back(a.address);
       }
   } else {
-    for (BsAgent& b : bs_agents)
-      for (const UeAgent& u : ue_agents)
-        if (scenario.link(u.ue, b.bs).in_coverage) b.covered_ues.push_back(u.address);
+    for (const UeAgent& a : ue_agents)
+      scenario.for_each_covering_bs(
+          a.ue, [&](BsId i) { bs_agents[i.idx()].covered_ues.push_back(a.address); });
   }
 
   // Warm the bus pools to the per-deliver high-water mark: the BS phase is
   // the widest (one decision per proposer — times the fault generation
   // headroom the SP relays can forward in one round — plus a broadcast
-  // per covered UE), so after this the steady-state round loop never
-  // grows a bus buffer. reserve() runs after set_faults() above, so it
-  // also sizes the delay parking queue from the armed fault rates.
+  // copy per covered UE, one multicast per BS), so after this the
+  // steady-state round loop never grows a bus buffer. reserve() runs
+  // after set_faults() above, so it also sizes the delay parking queue
+  // from the armed fault rates.
   std::size_t sum_covered = 0;
   for (const BsAgent& b : bs_agents) sum_covered += b.covered_ues.size();
-  bus.reserve(2 * mu * generations + sum_covered);
+  bus.reserve(2 * mu * generations + sum_covered, 2 * mu * generations + mb);
 
   ProtocolRun run;
 
@@ -372,9 +317,8 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
   // ---- Bootstrap: every BS broadcasts its initial resource levels so UEs
   // have a complete view of their candidates before the first proposal.
   for (BsAgent& b : bs_agents) {
-    const std::uint32_t snapshot = arena.publish(b.resources);
-    for (AgentId ue_addr : b.covered_ues)
-      bus.send(b.address, ue_addr, MsgResourceUpdate{b.bs, snapshot});
+    bus.multicast(b.address, b.covered_ues, MsgResourceUpdate{b.bs, arena.publish(b.resources)});
+    run.messages.broadcasts += b.covered_ues.size();
     if (rec != nullptr) {
       obs::TraceEvent e;
       e.kind = obs::EventKind::kBroadcast;
@@ -511,19 +455,20 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
       const std::span<const BsId> cands = scenario.candidates(a.ue);
       const std::size_t off = scenario.candidate_offset(a.ue);
       const std::size_t svc = scenario.ue(a.ue).service.idx();
-      for (auto& env : bus.take_inbox(a.address)) {
-        if (auto* upd = std::get_if<MsgResourceUpdate>(&env.payload)) {
+      for (const auto& env : bus.take_inbox(a.address)) {
+        if (const auto* upd = std::get_if<MsgResourceUpdate>(&env.payload)) {
           // Broadcasts from covering-but-non-candidate BSs carry no
           // information this UE will ever query; the proposal logic only
           // reads candidate slots.
           const auto it = std::lower_bound(cands.begin(), cands.end(), upd->bs);
           if (it != cands.end() && *it == upd->bs) {
             const std::size_t slot = off + static_cast<std::size_t>(it - cands.begin());
-            view_crus[slot] = arena.crus(upd->snapshot, svc);
-            view_rrbs[slot] = arena.rrbs(upd->snapshot);
+            const SnapshotRing::Levels levels = arena.read(upd->snapshot, svc);
+            view_crus[slot] = levels.crus;
+            view_rrbs[slot] = levels.rrbs;
           }
           if (faulty && a.has_serving && upd->bs == a.serving_bs) a.heard_serving = true;
-        } else if (auto* dec = std::get_if<MsgDecision>(&env.payload)) {
+        } else if (const auto* dec = std::get_if<MsgDecision>(&env.payload)) {
           if (faulty) {
             if (a.awaiting && dec->bs == a.last_target) {
               a.awaiting = false;
@@ -587,6 +532,7 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
       }
       const auto f_u = live_coverage_count_soa(scenario, a.ue, view);
       bus.send(a.address, a.sp_address, MsgOffloadRequest{a.ue, *choice, f_u});
+      ++run.messages.requests;
       ++sent_this_round;
       if (faulty) {
         if (a.last_target != *choice) a.unanswered = 0;
@@ -629,13 +575,15 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
     // a late decision goes down immediately instead of throwing.
     // dmra::hotpath begin(sp-relay-up)
     for (SpAgent& sp : sp_agents) {
-      for (auto& env : bus.take_inbox(sp.address)) {
+      for (const auto& env : bus.take_inbox(sp.address)) {
         if (const auto* req = std::get_if<MsgOffloadRequest>(&env.payload)) {
           bus.send(sp.address, bs_agents[local_bs(req->target)].address,
                    MsgPropose{req->ue, req->f_u});
+          ++run.messages.proposes;
         } else {
           const auto& dec = std::get<MsgDecision>(env.payload);
           bus.send(sp.address, ue_agents[local_ue(dec.ue)].address, dec);
+          ++run.messages.decisions;
         }
       }
     }
@@ -655,7 +603,7 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
       }
       fresh.clear();
       reacks.clear();
-      for (auto& env : bus.take_inbox(b.address)) {
+      for (const auto& env : bus.take_inbox(b.address)) {
         const auto& p = std::get<MsgPropose>(env.payload);
         // A UE this BS already admitted can only re-propose because the
         // accept got lost: re-ack idempotently, never commit twice.
@@ -715,13 +663,14 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
         const AgentId sp_addr = sp_agents[scenario.ue(u).sp.idx()].address;
         bus.send(b.address, sp_addr, MsgDecision{u, b.bs, true});
       }
+      run.messages.decisions += fresh.size() + reacks.size();
       // Broadcast the new resource levels to everyone in coverage; on an
       // unreliable network, rebroadcast every round so dropped updates
       // heal and matched UEs keep hearing their serving BS.
       if (!fresh.empty() || !reacks.empty() || unreliable) {
-        const std::uint32_t snapshot = arena.publish(b.resources);
-        for (AgentId ue_addr : b.covered_ues)
-          bus.send(b.address, ue_addr, MsgResourceUpdate{b.bs, snapshot});
+        bus.multicast(b.address, b.covered_ues,
+                      MsgResourceUpdate{b.bs, arena.publish(b.resources)});
+        run.messages.broadcasts += b.covered_ues.size();
         if (rec != nullptr) {
           obs::TraceEvent e;
           e.kind = obs::EventKind::kBroadcast;
@@ -770,13 +719,15 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
     // which drains its inbox again next round).
     // dmra::hotpath begin(sp-relay-down)
     for (SpAgent& sp : sp_agents) {
-      for (auto& env : bus.take_inbox(sp.address)) {
+      for (const auto& env : bus.take_inbox(sp.address)) {
         if (const auto* dec = std::get_if<MsgDecision>(&env.payload)) {
           bus.send(sp.address, ue_agents[local_ue(dec->ue)].address, *dec);
+          ++run.messages.decisions;
         } else {
           const auto& req = std::get<MsgOffloadRequest>(env.payload);
           bus.send(sp.address, bs_agents[local_bs(req.target)].address,
                    MsgPropose{req.ue, req.f_u});
+          ++run.messages.proposes;
         }
       }
     }
@@ -811,7 +762,8 @@ ProtocolRun run_protocol(const Scenario& scenario, const DmraConfig& config,
     }
     if (fr != nullptr) {
       // Cheap aggregate only — no O(nu)/O(nb) scans: the flight round
-      // ring must stay within the <2% always-on budget.
+      // ring is always on, so its cost must stay below what
+      // obs.flight_overhead_pct can resolve.
       obs::RoundRow row;
       row.source = source;
       row.round = run.rounds - 1;
@@ -927,6 +879,7 @@ DecentralizedResult run_decentralized_dmra(const Scenario& scenario,
   result.dmra.proposals_sent = run.proposals;
   result.dmra.rejections = run.rejections;
   result.bus = run.bus;
+  result.messages = run.messages;
   result.recovery = run.recovery;
   result.alloc = run.alloc;
 

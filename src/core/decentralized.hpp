@@ -86,10 +86,21 @@ struct AllocCounters {
   std::uint64_t total_allocations = 0;         ///< allocations across the whole round loop
 };
 
+/// Messages the protocol sent, by kind; they add up to
+/// BusStats::messages_sent. A decision is counted once per hop (BS → SP
+/// and SP → UE), and a broadcast once per covered UE it reaches.
+struct MessageKindCounts {
+  std::uint64_t requests = 0;    ///< UE → SP offload requests
+  std::uint64_t proposes = 0;    ///< SP → BS relayed proposals
+  std::uint64_t decisions = 0;   ///< accept/reject decisions, both hops
+  std::uint64_t broadcasts = 0;  ///< resource-update copies, BS → covered UE
+};
+
 /// DmraResult plus the communication cost of reaching it.
 struct DecentralizedResult {
   DmraResult dmra;  ///< allocation + convergence diagnostics
   BusStats bus;     ///< message-bus traffic, incl. fault-injected drops/dups/delays
+  MessageKindCounts messages;  ///< bus.messages_sent split by message kind
   /// Fault and recovery accounting; all zeros without a fault plan.
   FaultRecoveryStats recovery;
   /// Round-loop heap-allocation accounting (see AllocCounters).

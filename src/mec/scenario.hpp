@@ -131,6 +131,21 @@ class Scenario {
     return links_[static_cast<std::size_t>(it - link_cols_.data())];
   }
 
+  /// Calls f(BsId) for every BS whose coverage contains u, ascending: a
+  /// walk of u's CSR link row on sparse storage, a scan of its |B|-wide
+  /// row on dense storage (dense scenarios are small).
+  template <typename F>
+  void for_each_covering_bs(UeId u, F&& f) const {
+    if (dense_links_) {
+      const LinkStats* row = links_.data() + u.idx() * num_bss();
+      for (std::size_t i = 0; i < num_bss(); ++i)
+        if (row[i].in_coverage) f(BsId{static_cast<std::uint32_t>(i)});
+      return;
+    }
+    for (std::size_t k = link_offsets_[u.idx()]; k < link_offsets_[u.idx() + 1]; ++k)
+      if (links_[k].in_coverage) f(BsId{link_cols_[k]});
+  }
+
   /// B_u of Alg. 1: BSs that cover u, host u's requested service, and whose
   /// RRB budget could carry u at all (n(u,i) ≤ N_i). Sorted by BsId.
   std::span<const BsId> candidates(UeId u) const {

@@ -4,6 +4,7 @@
 
 #include "../test_util.hpp"
 #include "core/dmra_allocator.hpp"
+#include "core/protocol.hpp"
 #include "core/solver.hpp"
 #include "sim/feasibility.hpp"
 #include "workload/generator.hpp"
@@ -158,6 +159,33 @@ TEST(Decentralized, AllocatorAdapterMatchesRuntime) {
   const DecentralizedDmraAllocator adapter;
   EXPECT_EQ(adapter.allocate(s), run_decentralized_dmra(s).dmra.allocation);
   EXPECT_EQ(adapter.name(), "DMRA-decentralized");
+}
+
+// The runtime's broadcast snapshots: one stamp-checked read returns the
+// UE's service CRUs and the RRBs; the capacity rounds up to a power of
+// two; a snapshot overwritten before it is read is a loud contract
+// violation, never a stale view.
+TEST(SnapshotRing, ReadsBothLevelsAndRejectsAnEvictedSnapshot) {
+  protocol_detail::SnapshotRing ring(/*num_services=*/3, /*capacity=*/3);  // holds 4
+  BsLocalResources r;
+  r.crus = {10, 20, 30};
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    r.crus[1] = 20 + k;
+    r.rrbs = 7 + k;
+    ids.push_back(ring.publish(r));
+  }
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(ids[k], k);
+    EXPECT_EQ(ring.read(ids[k], 0).crus, 10u);
+    EXPECT_EQ(ring.read(ids[k], 1).crus, 20u + k);
+    EXPECT_EQ(ring.read(ids[k], 2).crus, 30u);
+    EXPECT_EQ(ring.read(ids[k], 1).rrbs, 7u + k);
+  }
+  ring.publish(r);  // the fifth snapshot takes the first one's slot
+  EXPECT_THROW(ring.read(ids[0], 0), ContractViolation);
+  EXPECT_EQ(ring.read(ids[1], 1).crus, 21u);
+  EXPECT_THROW(ring.read(/*snapshot=*/9, 0), ContractViolation);  // never published
 }
 
 }  // namespace

@@ -33,6 +33,10 @@
 // pinned here; perfbench/ measures them. These rows are short: update them
 // from the EXPECT_EQ messages rather than a regen printout.
 //
+// kMessageKindGolden splits those runs' messages_sent by message kind
+// (requests, relayed proposals, decisions, broadcast copies) and checks
+// that the kinds add up to the pinned total.
+//
 // A fourth table, kShardedGolden, pins the region-sharded runtime: one
 // run_sharded_dmra per (seed, shard count) at 500 UEs, with the allocation's
 // profit bits, the summed matching and bus counters, each region's protocol
@@ -303,6 +307,24 @@ constexpr ScaleGoldenRow kScaleGolden[] = {
     {2000, 38ull, 166662ull, 9ull, 2ull},
 };
 
+// The kScaleGolden runs' messages_sent split by kind: offload requests,
+// relayed proposals, decisions (BS → SP and SP → UE, one each) and
+// resource-broadcast copies. A broadcast is one multicast per BS on the
+// bus; its copies, one per covered UE, are counted one by one.
+struct MessageKindGoldenRow {
+  std::size_t ues;
+  std::uint64_t requests;
+  std::uint64_t proposes;
+  std::uint64_t decisions;
+  std::uint64_t broadcasts;
+};
+
+constexpr MessageKindGoldenRow kMessageKindGolden[] = {
+    {500, 1407ull, 1407ull, 2814ull, 27534ull},
+    {1000, 4708ull, 4708ull, 9416ull, 67641ull},
+    {2000, 11659ull, 11659ull, 23318ull, 120026ull},
+};
+
 struct ServingGoldenRow {
   bool faulted;
   std::uint64_t events;
@@ -524,6 +546,52 @@ TEST(GoldenRuntime, ScaleAndServingCountersPinned) {
     EXPECT_EQ(got.postmortem_dumps, want.postmortem_dumps);
     EXPECT_EQ(got.metric_windows, want.metric_windows);
   }
+}
+
+TEST(GoldenRuntime, MessageKindCountsPinned) {
+  for (const MessageKindGoldenRow& want : kMessageKindGolden) {
+    SCOPED_TRACE("ues " + std::to_string(want.ues));
+    ScenarioConfig cfg;
+    cfg.num_ues = want.ues;
+    const Scenario s = generate_scenario(cfg, 1);
+    const DecentralizedResult r = run_decentralized_dmra(s);
+    EXPECT_EQ(r.messages.requests, want.requests);
+    EXPECT_EQ(r.messages.proposes, want.proposes);
+    EXPECT_EQ(r.messages.decisions, want.decisions);
+    EXPECT_EQ(r.messages.broadcasts, want.broadcasts);
+    // On a reliable bus every request is relayed once and answered once.
+    EXPECT_EQ(r.messages.requests, r.dmra.proposals_sent);
+    EXPECT_EQ(r.messages.proposes, r.messages.requests);
+    EXPECT_EQ(r.messages.decisions, 2 * r.messages.requests);
+    const std::uint64_t sum =
+        want.requests + want.proposes + want.decisions + want.broadcasts;
+    for (const ScaleGoldenRow& scale : kScaleGolden) {
+      if (scale.ues == want.ues) {
+        EXPECT_EQ(sum, scale.messages_sent);
+      }
+    }
+    EXPECT_EQ(r.messages.requests + r.messages.proposes + r.messages.decisions +
+                  r.messages.broadcasts,
+              r.bus.messages_sent);
+  }
+  // Under link faults the kinds still add up: re-acks, rebroadcasts and
+  // delay-displaced relays are counted where they are sent.
+  ScenarioConfig cfg;
+  cfg.num_ues = 500;
+  const Scenario s = generate_scenario(cfg, 1);
+  FaultPlan plan;
+  plan.link = LinkFaults{.drop_probability = 0.1,
+                         .duplicate_probability = 0.1,
+                         .delay_probability = 0.1,
+                         .max_delay_rounds = 2};
+  NetworkConditions net;
+  net.seed = 3;
+  net.faults = &plan;
+  const DecentralizedResult r = run_decentralized_dmra(s, {}, net);
+  EXPECT_GT(r.bus.messages_duplicated, 0u);
+  EXPECT_EQ(r.messages.requests + r.messages.proposes + r.messages.decisions +
+                r.messages.broadcasts,
+            r.bus.messages_sent);
 }
 
 TEST(GoldenRuntime, ShardedCountersPinned) {
